@@ -32,6 +32,83 @@ import signal
 import sys
 
 
+_OPS = ("cdf", "quantile", "fraction", "size")
+
+
+def _mixed_queries(
+    handle: object, n_queries: int, seed: int, pool_size: int = 128
+) -> list[tuple[str, tuple[float, ...]]]:
+    """A seeded mixed ``(op, args)`` workload over the estimate's range.
+
+    Arguments come from ``pool_size`` distinct values per op, so a
+    realistic share of queries repeat and the engine's LRU sees hits.
+    """
+    from repro.rngs import make_rng
+
+    rng = make_rng(seed)
+    estimate = handle.store.latest().estimate  # type: ignore[attr-defined]
+    lo = estimate.minimum
+    xs = lo + max(estimate.maximum - lo, 1.0) * rng.random(pool_size)
+    qs = rng.random(pool_size)
+    queries: list[tuple[str, tuple[float, ...]]] = []
+    for op_index, (i, j) in zip(
+        rng.integers(0, len(_OPS), size=n_queries),
+        rng.integers(0, pool_size, size=(n_queries, 2)),
+    ):
+        op = _OPS[int(op_index)]
+        if op == "cdf":
+            queries.append((op, (float(xs[i]),)))
+        elif op == "quantile":
+            queries.append((op, (float(qs[i]),)))
+        elif op == "fraction":
+            a, b = sorted((float(xs[i]), float(xs[j])))
+            queries.append((op, (a, b)))
+        else:
+            queries.append((op, ()))
+    return queries
+
+
+def _payload(op: str, args: tuple[float, ...]) -> dict[str, object]:
+    from repro.service.protocol import QueryRequest
+
+    return QueryRequest(op, args).to_wire()
+
+
+async def _load(
+    host: str,
+    port: int,
+    requests: list[dict[str, object]],
+    clients: int,
+    frame: str = "json",
+) -> tuple[list[float], dict[str, int]]:
+    """Closed-loop clients against a live port: latencies and error counts.
+
+    ``requests`` are split round-robin over ``clients`` connections;
+    each client waits for a reply before sending its next request.  A
+    batch reply counts one error per failed result.
+    """
+    from repro.net.service_endpoint import ServiceClient
+    from repro.obs import wall_clock
+
+    latencies: list[float] = []
+    errors: dict[str, int] = {}
+
+    async def _client(share: list[dict[str, object]]) -> None:
+        async with ServiceClient(host, port, frame=frame) as client:
+            for payload in share:
+                started = wall_clock()
+                response = await client.request(payload)
+                latencies.append(wall_clock() - started)
+                for result in response.get("results", [response]):
+                    if not result.get("ok"):
+                        code = str(result.get("error", "missing_error_code"))
+                        errors[code] = errors.get(code, 0) + 1
+
+    shares = [requests[i::clients] for i in range(clients)]
+    await asyncio.gather(*(_client(share) for share in shares if share))
+    return latencies, errors
+
+
 async def _drive(
     handle: object,
     requests: list[dict[str, object]],
@@ -39,29 +116,11 @@ async def _drive(
     host: str,
 ) -> tuple[list[float], dict[str, int]]:
     """Serve ``handle`` ephemerally; return latencies and error counts."""
-    from repro.net.service_endpoint import ServiceClient, ServiceEndpoint
-    from repro.obs import wall_clock
-
-    latencies: list[float] = []
-    errors: dict[str, int] = {}
-
-    async def _client(port: int, share: list[dict[str, object]]) -> None:
-        async with ServiceClient(host, port) as client:
-            for payload in share:
-                started = wall_clock()
-                response = await client.request(payload)
-                latencies.append(wall_clock() - started)
-                if not response.get("ok"):
-                    code = str(response.get("error", "missing_error_code"))
-                    errors[code] = errors.get(code, 0) + 1
+    from repro.net.service_endpoint import ServiceEndpoint
 
     async with ServiceEndpoint(handle, host=host, port=0) as endpoint:  # type: ignore[arg-type]
         assert endpoint.port is not None
-        shares = [requests[i::clients] for i in range(clients)]
-        await asyncio.gather(*(
-            _client(endpoint.port, share) for share in shares if share
-        ))
-    return latencies, errors
+        return await _load(host, endpoint.port, requests, clients)
 
 
 async def _pool_correctness(
@@ -85,20 +144,27 @@ def _pool_phase(
     mixed: list[tuple[str, tuple[float, ...]]],
 ) -> tuple[dict[str, object], list[str]]:
     """Drive batch + binary through a >= 4 worker pool; returns report, failures."""
-    from repro.net.service_endpoint import measure_endpoint_qps
     from repro.net.service_worker import ServiceWorkerPool
+    from repro.obs import wall_clock
 
     failures: list[str] = []
     xs = [float(x) for x in range(0, 1000, 97)]
-    pool = ServiceWorkerPool(handle.store, workers=args.workers, host=args.host)  # type: ignore[attr-defined]
-    pool.start()
-    try:
+    batches: list[dict[str, object]] = [
+        {"op": "batch", "ops": [
+            _payload(op, params) for op, params in mixed[i : i + args.batch]
+        ]}
+        for i in range(0, len(mixed), args.batch)
+    ]
+    with ServiceWorkerPool(handle.store, workers=args.workers, host=args.host) as pool:  # type: ignore[attr-defined]
+        assert pool.port is not None
         values, status = asyncio.run(
             _pool_correctness(handle, args.host, pool.port, xs)
         )
-        mode = pool.mode
-    finally:
-        pool.stop()
+        started = wall_clock()
+        latencies, errors = asyncio.run(
+            _load(args.host, pool.port, batches, args.clients, frame="binary")
+        )
+        wall_s = max(wall_clock() - started, 1e-9)
 
     expected = [handle.cdf(x) for x in xs] + [handle.network_size()]  # type: ignore[attr-defined]
     mismatched = sum(
@@ -110,22 +176,20 @@ def _pool_phase(
             f"{mismatched}/{len(expected)} batched binary answers disagree "
             "with the in-process engine"
         )
-    if status.get("serving_mode") not in ("reuseport", "threads"):
+    if status.get("serving_mode") != "reuseport":
         failures.append(f"pool status reports no serving mode: {status!r}")
-
-    stats = measure_endpoint_qps(
-        handle, mixed, clients=args.clients, workers=args.workers,  # type: ignore[arg-type]
-        frame="binary", batch_size=args.batch,
-    )
-    if stats["errors"]:
-        failures.append(f"pool load drew {stats['errors']} error responses")
+    if len(latencies) != len(batches):
+        failures.append(
+            f"only {len(latencies)}/{len(batches)} pool batches were answered"
+        )
+    if errors:
+        failures.append(f"pool load drew error responses: {errors!r}")
     report = {
         "workers": args.workers,
-        "mode": mode,
         "batch_size": args.batch,
-        "ops": stats["ops"],
-        "qps": stats["qps"],
-        "errors": stats["errors"],
+        "ops": len(mixed),
+        "qps": len(mixed) / wall_s,
+        "errors": sum(errors.values()),
         "worker_status": {
             k: status.get(k) for k in ("worker", "serving_mode", "versions")
         },
@@ -176,7 +240,6 @@ def main(argv: list[str] | None = None) -> int:
     from repro.core.config import Adam2Config
     from repro.obs import JsonlSink, ObserverHub
     from repro.service import build_service
-    from repro.service.bench import _mixed_queries
     from repro.workloads.synthetic import uniform_workload
 
     config = Adam2Config(points=args.points, rounds_per_instance=args.rounds)
@@ -193,19 +256,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         requests: list[dict[str, object]] = []
         bad_probes = 0
-        mixed = _mixed_queries(handle, args.queries, args.seed + 1, 128)
+        mixed = _mixed_queries(handle, args.queries, args.seed + 1)
         for index, (op, params) in enumerate(mixed):
             if args.invalid_every and index % args.invalid_every == 5:
                 requests.append({"op": "cdf", "x": "not-a-number"})
                 bad_probes += 1
-            elif op == "cdf":
-                requests.append({"op": "cdf", "x": params[0]})
-            elif op == "quantile":
-                requests.append({"op": "quantile", "q": params[0]})
-            elif op == "fraction":
-                requests.append({"op": "fraction", "a": params[0], "b": params[1]})
             else:
-                requests.append({"op": "size"})
+                requests.append(_payload(op, params))
 
         latencies, errors = asyncio.run(
             _drive(handle, requests, args.clients, args.host)

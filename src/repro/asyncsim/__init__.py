@@ -17,18 +17,4 @@ from repro.asyncsim.events import EventQueue
 from repro.asyncsim.engine import AsyncEngine, AsyncProtocol, LatencyModel
 from repro.asyncsim.adam2 import AsyncAdam2
 
-__all__ = ["EventQueue", "AsyncEngine", "AsyncProtocol", "LatencyModel", "AsyncAdam2", "run_adam2"]
-
-
-def run_adam2(config, workload, **kwargs):
-    """Deprecated: use ``repro.api.run(config, workload, backend="async")``."""
-    import warnings
-
-    warnings.warn(
-        "repro.asyncsim.run_adam2 is deprecated; use repro.api.run(..., backend='async')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import run
-
-    return run(config, workload, backend="async", **kwargs)
+__all__ = ["EventQueue", "AsyncEngine", "AsyncProtocol", "LatencyModel", "AsyncAdam2"]

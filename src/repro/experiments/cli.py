@@ -7,10 +7,8 @@ Examples::
     adam2-experiments fig07 --nodes 3000 --seed 7
     adam2-experiments fig07 --backend round --trace fig07.jsonl
     adam2-experiments fig05 --metrics-out fig05_metrics.json
-    adam2-experiments --profile --profile-sizes 1000,10000
     REPRO_SCALE=quick adam2-experiments all
     adam2-experiments serve --nodes 2000 --port 9309 --refresh 5
-    adam2-experiments query-bench --queries 20000 --out BENCH_service.json
 """
 
 from __future__ import annotations
@@ -61,48 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the aggregated metrics/span snapshot as JSON to PATH",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="benchmark all backends and write a machine-readable report "
-        "instead of running experiments",
-    )
-    parser.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        default="BENCH_backends.json",
-        help="output path for --profile (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--profile-sizes",
-        metavar="N,N,...",
-        default=None,
-        help="comma-separated system sizes for --profile (default: 1000,10000)",
-    )
-    parser.add_argument(
-        "--profile-net-sizes",
-        metavar="N,N,...",
-        default=None,
-        help="comma-separated cluster sizes for the net backend under "
-        "--profile (default: 32,64; the net backend binds one real UDP "
-        "socket per node and is skipped where the sandbox forbids that)",
-    )
-    parser.add_argument(
-        "--profile-scaling-sizes",
-        metavar="N,N,...",
-        default=None,
-        help="also run the fastsim N-scaling sweep (naive vs batched vs "
-        "sharded) at these sizes and attach it to the --profile report "
-        "(e.g. 1000,10000,100000,1000000; omitted: no sweep)",
-    )
-    parser.add_argument(
-        "--profile-shards",
-        metavar="S",
-        type=int,
-        default=8,
-        help="worker process count for the sharded mode of the scaling "
-        "sweep (default: %(default)s)",
-    )
     return parser
 
 
@@ -142,60 +98,6 @@ def _run_one(name: str, args: argparse.Namespace) -> None:
     result = runner(**params)
     print(format_table(result))
     print(f"[{name} finished in {time.time() - started:.1f}s]\n")
-
-
-def _run_profile(args: argparse.Namespace) -> int:
-    from repro.core.config import Adam2Config
-    from repro.obs import profile_backends, profile_scaling, write_benchmark
-    from repro.workloads import boinc_workload
-
-    sizes = _parse_sizes(args.profile_sizes, "--profile-sizes", (1_000, 10_000))
-    net_sizes = _parse_sizes(args.profile_net_sizes, "--profile-net-sizes", (32, 64))
-    points = args.points if args.points is not None else 20
-    seed = args.seed if args.seed is not None else 0
-    workload = boinc_workload("ram")
-    config = Adam2Config(points=points, rounds_per_instance=30)
-    document = profile_backends(
-        workload, config, sizes=sizes, net_sizes=net_sizes, seed=seed
-    )
-    if args.profile_scaling_sizes is not None:
-        scaling_sizes = _parse_sizes(
-            args.profile_scaling_sizes, "--profile-scaling-sizes", ()
-        )
-        document["scaling"] = profile_scaling(
-            workload, config,
-            sizes=scaling_sizes, shards=args.profile_shards, seed=seed,
-        )
-    write_benchmark(document, args.profile_out)
-    print(f"wrote {args.profile_out} ({len(document['entries'])} entries)")
-    scaling = document.get("scaling")
-    if isinstance(scaling, dict):
-        print(f"scaling sweep: {len(scaling['entries'])} entries")
-        for skip in scaling["skipped"]:
-            print(
-                f"scaling: skipped {skip['mode']} at n={skip['n_nodes']}: {skip['reason']}",
-                file=sys.stderr,
-            )
-    for skip in document["skipped"]:
-        print(
-            f"skipped {skip['backend']} at n={skip['n_nodes']}: {skip['reason']}",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _parse_sizes(raw: str | None, flag: str, default: tuple[int, ...]) -> tuple[int, ...]:
-    if raw is None:
-        return default
-    try:
-        sizes = tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigurationError(
-            f"{flag} must be comma-separated integers, got {raw!r}"
-        ) from None
-    if not sizes or any(size < 2 for size in sizes):
-        raise ConfigurationError(f"{flag} needs sizes >= 2")
-    return sizes
 
 
 def _run_experiments(args: argparse.Namespace) -> int:
@@ -251,7 +153,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1,
                         help="serving workers; >1 serves from an SO_REUSEPORT "
                         "worker-process pool fed by store snapshots "
-                        "(threaded fallback where the kernel lacks support)")
+                        "(one loop where the kernel lacks support)")
     parser.add_argument("--store-dir", metavar="DIR", default=None,
                         help="durable snapshot-log directory; a restarted "
                         "service recovers its history from here and serves "
@@ -305,98 +207,20 @@ def _run_serve(argv: list[str]) -> int:
     return 0
 
 
-def _build_query_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="adam2-experiments query-bench",
-        description="Benchmark the service query layer (in-process cache "
-        "on/off, plus the TCP endpoint at several client counts) and "
-        "write a machine-readable report.",
-    )
-    parser.add_argument("--backend", choices=("fast", "round", "async", "net"), default="fast")
-    parser.add_argument("--nodes", type=int, default=2000)
-    parser.add_argument("--points", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--queries", type=int, default=20_000,
-                        help="in-process mixed queries per mode")
-    parser.add_argument("--clients", metavar="N,N,...", default="1,4,16",
-                        help="TCP client concurrencies")
-    parser.add_argument("--worker-counts", metavar="N,N,...", default="1,2,4",
-                        help="pool sizes for the qps-vs-workers curve")
-    parser.add_argument("--pool-workers", type=int, default=4,
-                        help="pool size for the qps-vs-clients curve")
-    parser.add_argument("--batch", type=int, default=32,
-                        help="ops per batched request on the pool path")
-    parser.add_argument("--no-tcp", action="store_true",
-                        help="skip the TCP endpoint measurements")
-    parser.add_argument("--out", metavar="PATH", default="BENCH_service.json")
-    return parser
-
-
-def _run_query_bench(argv: list[str]) -> int:
-    from repro.core.config import Adam2Config
-    from repro.obs import write_benchmark
-    from repro.service import profile_service
-    from repro.workloads import boinc_workload
-
-    args = _build_query_bench_parser().parse_args(argv)
-
-    def counts(raw: str, flag: str) -> tuple[int, ...]:
-        try:
-            parsed = tuple(int(part) for part in raw.split(","))
-        except ValueError:
-            raise ConfigurationError(
-                f"{flag} must be comma-separated integers, got {raw!r}"
-            ) from None
-        if not parsed or any(count < 1 for count in parsed):
-            raise ConfigurationError(f"{flag} needs counts >= 1")
-        return parsed
-
-    document = profile_service(
-        boinc_workload("ram"),
-        Adam2Config(points=args.points, rounds_per_instance=30),
-        backend=args.backend,
-        n_nodes=args.nodes,
-        n_queries=args.queries,
-        client_counts=counts(args.clients, "--clients"),
-        worker_counts=counts(args.worker_counts, "--worker-counts"),
-        pool_workers=args.pool_workers,
-        batch_size=args.batch,
-        tcp=not args.no_tcp,
-        seed=args.seed,
-    )
-    write_benchmark(document, args.out)
-    entries = document["entries"]
-    assert isinstance(entries, list)
-    print(f"wrote {args.out} ({len(entries)} entries)")
-    for entry in entries:
-        print(f"  {entry['mode']}/{entry['label']}: "
-              f"{entry['qps']:.0f} qps, p99 {entry['p99_latency_s'] * 1e6:.0f} us")
-    skipped = document["skipped"]
-    assert isinstance(skipped, list)
-    for skip in skipped:
-        print(f"skipped tcp at clients={skip['clients']}: {skip['reason']}",
-              file=sys.stderr)
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        # Service subcommands keep their own parsers; the flat
+        # The service subcommand keeps its own parser; the flat
         # experiment interface below is untouched.
         if argv and argv[0] == "serve":
             return _run_serve(argv[1:])
-        if argv and argv[0] == "query-bench":
-            return _run_query_bench(argv[1:])
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.profile:
-            return _run_profile(args)
         if args.list or not args.experiment:
             print("available experiments:")
             for name in list_experiments():

@@ -35,19 +35,4 @@ __all__ = [
     "matching_round",
     "InstanceArrays",
     "resolve_dtype",
-    "run_adam2",
 ]
-
-
-def run_adam2(config, workload, **kwargs):
-    """Deprecated: use ``repro.api.run(config, workload, backend="fast")``."""
-    import warnings
-
-    warnings.warn(
-        "repro.fastsim.run_adam2 is deprecated; use repro.api.run(..., backend='fast')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import run
-
-    return run(config, workload, backend="fast", **kwargs)

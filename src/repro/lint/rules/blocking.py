@@ -4,10 +4,10 @@ Paper invariant (serving scalability): the TCP query endpoint and the
 node daemons multiplex every client and every peer over one asyncio
 loop.  A single ``time.sleep``, synchronous file read, or subprocess
 call on that loop stalls *every* connection for its duration — the exact
-mechanism behind the BENCH_service.json concurrency cliff (10.4k qps at
-one client collapsing to 1.0k at sixteen).  Blocking work belongs in an
-executor (``loop.run_in_executor`` / ``asyncio.to_thread``) or behind
-the async APIs (``asyncio.sleep``, streams).
+mechanism behind an early service benchmark's concurrency cliff (10.4k
+qps at one client collapsing to 1.0k at sixteen).  Blocking work belongs
+in an executor (``loop.run_in_executor`` / ``asyncio.to_thread``) or
+behind the async APIs (``asyncio.sleep``, streams).
 
 Flagged inside any ``async def`` (own scope only — nested synchronous
 ``def``s are commonly shipped *to* executors, so they are not the loop's

@@ -42,12 +42,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import warnings
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.errors import CodecError, NetworkError, ServiceError
 from repro.net.frames import HEADER, KIND_BATCH_REQUEST, KIND_REQUEST, FrameCodec
-from repro.obs.spans import wall_clock
 from repro.service.protocol import (
     BatchRequest,
     BatchResponse,
@@ -63,7 +61,6 @@ if TYPE_CHECKING:  # runtime import stays lazy (repro.service imports repro.api)
 __all__ = [
     "ServiceClient",
     "ServiceEndpoint",
-    "measure_endpoint_qps",
     "process_frame",
     "process_json_line",
     "serve_blocking",
@@ -82,30 +79,23 @@ def process_json_line(
     """One JSON-lines request -> ``(response bytes, upgraded_to_binary)``.
 
     Handles the in-band ``{"op": "frame", ...}`` negotiation; everything
-    else goes through the dispatcher.  Shared by the asyncio endpoint,
-    the worker processes, and the threaded fallback, so every serving
-    surface speaks byte-identical protocol.
+    else goes through the dispatcher.  Shared by the asyncio endpoint
+    and the worker processes, so every serving surface speaks
+    byte-identical protocol.  Line length is bounded upstream: the
+    stream readers are created with ``limit=_MAX_LINE``.
     """
     upgraded = False
-    if len(line) > _MAX_LINE:
-        response = QueryResponse.failure(
-            "bad_request", "request line too long"
-        ).to_wire()
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError as exc:
+        response = dispatcher.failure_wire(
+            "invalid", "bad_request", f"invalid JSON: {exc}"
+        )
     else:
-        payload: Any = None
-        decoded = False
-        try:
-            payload = json.loads(line)
-            decoded = True
-        except json.JSONDecodeError as exc:
-            response = dispatcher.failure_wire(
-                "invalid", "bad_request", f"invalid JSON: {exc}"
-            )
-        if decoded:
-            if isinstance(payload, dict) and payload.get("op") == "frame":
-                response, upgraded = _negotiate_frame(payload)
-            else:
-                response = dispatcher.dispatch_wire(payload)
+        if isinstance(payload, dict) and payload.get("op") == "frame":
+            response, upgraded = _negotiate_frame(payload)
+        else:
+            response = dispatcher.dispatch_wire(payload)
     return json.dumps(response, separators=(",", ":")).encode() + b"\n", upgraded
 
 
@@ -155,8 +145,9 @@ async def serve_connection(
     """Serve one connection to EOF: JSON lines, with binary upgrade.
 
     Requests are answered strictly in order, so clients may pipeline
-    freely; an unreadable binary frame is answered with an error frame
-    and the connection closed (frame streams cannot resynchronise).
+    freely; an unreadable binary frame or a JSON line longer than the
+    reader's limit is answered with an error and the connection closed
+    (neither stream can resynchronise).
     """
     binary = False
     try:
@@ -168,14 +159,23 @@ async def serve_connection(
                     payload = await reader.readexactly(length)
                     out = process_frame(dispatcher, codec, kind, payload)
                 else:
-                    line = await reader.readline()
+                    try:
+                        line = await reader.readline()
+                    except ValueError:
+                        # How readline() reports a line past the stream
+                        # limit; the rest of that line cannot be told
+                        # from a new request, so answer and hang up.
+                        writer.write(json.dumps(dispatcher.failure_wire(
+                            "invalid", "bad_request", "request line too long"
+                        ), separators=(",", ":")).encode() + b"\n")
+                        break
                     if not line:
                         break
                     out, upgraded = process_json_line(dispatcher, codec, line)
                     binary = binary or upgraded
             except asyncio.IncompleteReadError:
                 break
-            except (ConnectionError, asyncio.LimitOverrunError):
+            except ConnectionError:
                 break
             except CodecError as exc:
                 writer.write(codec.encode_response(
@@ -236,7 +236,8 @@ class ServiceEndpoint:
         if self._server is not None:
             raise NetworkError("endpoint already started")
         self._server = await asyncio.start_server(
-            self._accept_connection, self.host, self._requested_port
+            self._accept_connection, self.host, self._requested_port,
+            limit=_MAX_LINE,
         )
         sockets = self._server.sockets or ()
         if not sockets:  # pragma: no cover - start_server always binds or raises
@@ -508,154 +509,9 @@ class ServiceClient:
         return dict(status) if isinstance(status, Mapping) else {}
 
 
-def _query_payload(op: str, args: Sequence[float]) -> dict[str, Any]:
-    """Deprecated: build a wire dict for ``(op, args)``.
-
-    Superseded by the typed protocol — construct a
-    :class:`~repro.service.protocol.QueryRequest` and call
-    ``to_wire()`` instead.  Kept as a shim so pre-protocol callers keep
-    working for one deprecation cycle.
-    """
-    warnings.warn(
-        "_query_payload is deprecated; build a repro.service.protocol."
-        "QueryRequest and use its to_wire()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return QueryRequest(op, tuple(args)).to_wire()
-
-
 # ----------------------------------------------------------------------
-# Measurement + blocking serve loop
+# Blocking serve loop
 # ----------------------------------------------------------------------
-
-def _batched_requests(
-    queries: Sequence[tuple[str, tuple[float, ...]]], batch_size: int
-) -> list[QueryRequest | BatchRequest]:
-    """Typed requests for a mixed ``(op, args)`` workload, batched."""
-    singles = [QueryRequest(op, args) for op, args in queries]
-    if batch_size <= 1:
-        return list(singles)
-    return [
-        BatchRequest(tuple(singles[i : i + batch_size]))
-        for i in range(0, len(singles), batch_size)
-    ]
-
-
-def measure_endpoint_qps(
-    handle: "ServiceHandle",
-    queries: Sequence[tuple[str, tuple[float, ...]]],
-    *,
-    clients: int = 1,
-    host: str = "127.0.0.1",
-    workers: int = 1,
-    frame: str = "json",
-    batch_size: int = 1,
-    mode: str = "auto",
-    think_s: float = 0.0,
-) -> dict[str, object]:
-    """Drive a mixed query workload through a fresh serving surface.
-
-    Starts an ephemeral server for ``handle`` — the single-loop
-    :class:`ServiceEndpoint` for ``workers <= 1``, a
-    :class:`~repro.net.service_worker.ServiceWorkerPool` otherwise —
-    splits ``queries`` round-robin over ``clients`` concurrent
-    connections, groups each share into batches of ``batch_size`` ops,
-    and measures both per-request latency and *aggregate wall-clock
-    throughput* (total ops divided by the time from first byte to last
-    response across all clients — summing per-request latencies would
-    multiply-count time the clients spend queued behind each other,
-    which is exactly the artefact that made the old benchmark report a
-    concurrency "inversion").
-
-    ``mode`` selects the pool's serving mode (``"auto"`` /
-    ``"reuseport"`` / ``"threads"``) when ``workers > 1``.
-
-    ``think_s`` makes the workload *closed-loop with think time*: each
-    client sleeps that long between requests, modelling an application
-    that does its own work between queries.  With think time, one
-    client is bounded by ``batch_size / (think_s + rtt)`` no matter how
-    fast the server is, and aggregate throughput grows with the client
-    count until the serving side saturates — the standard qps-vs-
-    clients shape.  With ``think_s=0`` the clients are a pure saturation
-    load: every client always has a request in flight, which measures
-    peak capacity but cannot show concurrency scaling on a machine
-    where the measuring clients and the server share one CPU.
-
-    Returns ``{"latencies": [...], "errors": n, "ops": n, "wall_s": s,
-    "qps": ops/s, "server": "endpoint"|"reuseport"|"threads"}``.
-    """
-    if clients < 1:
-        raise NetworkError("need at least one client")
-    if batch_size < 1:
-        raise NetworkError("batch_size must be >= 1")
-
-    shares = [
-        _batched_requests(list(queries[i::clients]), batch_size)
-        for i in range(clients)
-    ]
-
-    async def _client(port: int, share: Sequence[QueryRequest | BatchRequest],
-                      latencies: list[float]) -> int:
-        errors = 0
-        async with ServiceClient(host, port, frame=frame) as client:
-            for request in share:
-                started = wall_clock()
-                response = await client.call(request)
-                latencies.append(wall_clock() - started)
-                if isinstance(response, BatchResponse):
-                    errors += sum(1 for r in response.results if not r.ok)
-                elif not response.ok:
-                    errors += 1
-                if think_s > 0:
-                    await asyncio.sleep(think_s)
-        return errors
-
-    async def _drive(port: int) -> dict[str, object]:
-        latencies: list[float] = []
-        started = wall_clock()
-        errors = await asyncio.gather(*(
-            _client(port, share, latencies) for share in shares if share
-        ))
-        wall_s = max(wall_clock() - started, 1e-9)
-        ops = sum(
-            len(r.items) if isinstance(r, BatchRequest) else 1
-            for share in shares for r in share
-        )
-        return {
-            "latencies": latencies,
-            "errors": int(sum(errors)),
-            "ops": ops,
-            "wall_s": wall_s,
-            "qps": ops / wall_s,
-        }
-
-    if workers > 1:
-        # Late import: service_worker imports this module's connection
-        # machinery.
-        from repro.net.service_worker import ServiceWorkerPool
-
-        pool = ServiceWorkerPool(
-            handle.store, workers=workers, host=host, mode=mode
-        )
-        pool.start()
-        try:
-            assert pool.port is not None
-            result = asyncio.run(_drive(pool.port))
-            result["server"] = pool.mode
-        finally:
-            pool.stop()
-        return result
-
-    async def _measure() -> dict[str, object]:
-        async with ServiceEndpoint(handle, host=host, port=0) as endpoint:
-            assert endpoint.port is not None
-            result = await _drive(endpoint.port)
-        result["server"] = "endpoint"
-        return result
-
-    return asyncio.run(_measure())
-
 
 def serve_blocking(
     handle: "ServiceHandle",
@@ -678,7 +534,9 @@ def serve_blocking(
     per cycle.  With ``workers > 1`` a :class:`~repro.net.service_worker.
     ServiceWorkerPool` serves from worker processes while the scheduler
     refreshes in this thread; every published snapshot reaches the
-    workers through the store's snapshot feed.  With ``max_cycles`` the
+    workers through the store's snapshot feed — unless the platform
+    lacks ``SO_REUSEPORT``, in which case the single loop serves (and
+    says so through ``announce``).  With ``max_cycles`` the
     loop exits after that many refreshes (smoke tests); otherwise it
     serves until interrupted.
 
@@ -690,10 +548,21 @@ def serve_blocking(
     """
     status_host = http_host if http_host is not None else host
     if workers > 1:
+        # Late import: service_worker imports this module's connection
+        # machinery.
+        from repro.net.service_worker import ServiceWorkerPool, reuseport_available
+
+        if not reuseport_available():
+            if announce is not None:
+                announce(
+                    f"SO_REUSEPORT unavailable: serving from one loop, "
+                    f"not {workers} workers"
+                )
+            workers = 1
+    if workers > 1:
         import time
 
         from repro.net.httpstatus import StatusServerThread
-        from repro.net.service_worker import ServiceWorkerPool
 
         pool = ServiceWorkerPool(
             handle.store, workers=workers, host=host, port=port
@@ -709,7 +578,7 @@ def serve_blocking(
             if announce is not None:
                 announce(
                     f"serving on {host}:{pool.port} "
-                    f"({pool.workers} workers, {pool.mode})"
+                    f"({pool.workers} reuseport workers)"
                 )
                 if status is not None:
                     announce(

@@ -3,29 +3,24 @@
 One asyncio loop saturates one core.  This module scales the query
 frontend horizontally while keeping the protocol byte-identical to the
 single-loop :class:`~repro.net.service_endpoint.ServiceEndpoint`:
-
-* **reuseport mode** (the default where the platform allows it): every
-  worker *process* binds its own listening socket with ``SO_REUSEPORT``
-  on the shared port, and the kernel load-balances incoming connections
-  across them — no user-space accept loop, no handoff.  Each worker owns
-  a private :class:`~repro.service.query.QueryEngine` (with its own LRU)
-  over a local :class:`~repro.service.store.EstimateStore` *replica*
-  that mirrors the publisher's store through the **snapshot feed**: the
-  parent subscribes to the live store and fans every published
-  :class:`~repro.service.store.EstimateSnapshot` out over one queue per
-  worker; workers :meth:`~repro.service.store.EstimateStore.adopt` the
-  (immutable, picklable) snapshots, so every replica serves identical
-  versions without any shared mutable state.
-* **threads mode** (the fallback): one accept-loop thread behind a
-  single listening socket hands each accepted connection to a pool of
-  worker threads, each connection served by one of ``workers``
-  round-robin dispatchers over the live store directly.  Same wire
-  behaviour, no kernel support needed.
+every worker *process* binds its own listening socket with
+``SO_REUSEPORT`` on the shared port, and the kernel load-balances
+incoming connections across them — no user-space accept loop, no
+handoff.  Each worker owns a private
+:class:`~repro.service.query.QueryEngine` (with its own LRU) over a
+local :class:`~repro.service.store.EstimateStore` *replica* that mirrors
+the publisher's store through the **snapshot feed**: the parent
+subscribes to the live store and fans every published
+:class:`~repro.service.store.EstimateSnapshot` out over one queue per
+worker; workers :meth:`~repro.service.store.EstimateStore.adopt` the
+(immutable, picklable) snapshots, so every replica serves identical
+versions without any shared mutable state.  Hosts without
+``SO_REUSEPORT`` serve from the single loop instead
+(:func:`~repro.net.service_endpoint.serve_blocking` falls back to it).
 
 Control-plane ops served by a worker answer from the worker's own view:
-``pin``/``unpin`` act on the replica (reuseport mode) or the live store
-(threads mode); ``status`` reports the serving worker's identity so
-clients can observe the kernel's balancing.
+``pin``/``unpin`` act on the replica; ``status`` reports the serving
+worker's identity so clients can observe the kernel's balancing.
 
 This module lives in :mod:`repro.net` because it opens sockets and
 spawns serving processes — the ADM008 fence keeps everything below
@@ -39,19 +34,12 @@ import multiprocessing
 import os
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.errors import CodecError, NetworkError, ServiceError
-from repro.net.frames import HEADER, FrameCodec
-from repro.net.service_endpoint import (
-    _MAX_LINE,
-    process_frame,
-    process_json_line,
-    serve_connection,
-)
-from repro.obs import NULL_HUB, ObserverHub
-from repro.service.protocol import QueryDispatcher, QueryResponse
+from repro.errors import NetworkError, ServiceError
+from repro.net.frames import FrameCodec
+from repro.net.service_endpoint import _MAX_LINE, serve_connection
+from repro.service.protocol import QueryDispatcher
 from repro.service.query import QueryEngine
 from repro.service.store import EstimateSnapshot, EstimateStore
 
@@ -106,19 +94,6 @@ def _reuseport_socket(host: str, port: int, *, listen: bool) -> socket.socket:
     return sock
 
 
-def _plain_listener(host: str, port: int) -> socket.socket:
-    """The fallback listening socket (sync helper: ADM010)."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(128)
-    except BaseException:
-        sock.close()
-        raise
-    return sock
-
-
 class WorkerControl:
     """The control plane a serving worker exposes (its own store view)."""
 
@@ -128,12 +103,10 @@ class WorkerControl:
         engine: QueryEngine,
         *,
         worker_id: int,
-        mode: str,
     ) -> None:
         self._store = store
         self._engine = engine
         self.worker_id = worker_id
-        self.mode = mode
 
     def status(self) -> dict[str, object]:
         try:
@@ -152,7 +125,7 @@ class WorkerControl:
             "cache": self._engine.cache_info(),
             "worker": self.worker_id,
             "worker_pid": os.getpid(),
-            "serving_mode": self.mode,
+            "serving_mode": "reuseport",
         }
 
     def history(self) -> list[dict[str, object]]:
@@ -166,7 +139,7 @@ class WorkerControl:
 
 
 # ----------------------------------------------------------------------
-# Worker process body (reuseport mode)
+# Worker process body
 # ----------------------------------------------------------------------
 
 def _worker_main(
@@ -183,9 +156,7 @@ def _worker_main(
         for snapshot in initial:
             store.adopt(snapshot)
         engine = QueryEngine(store)
-        control = WorkerControl(
-            store, engine, worker_id=worker_id, mode="reuseport"
-        )
+        control = WorkerControl(store, engine, worker_id=worker_id)
         dispatcher = QueryDispatcher(engine, control)
         sock = _reuseport_socket(host, port, listen=True)
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
@@ -231,7 +202,9 @@ async def _worker_serve(
     ) -> None:
         await serve_connection(reader, writer, dispatcher, codec)
 
-    server = await asyncio.start_server(on_connection, sock=sock)
+    server = await asyncio.start_server(
+        on_connection, sock=sock, limit=_MAX_LINE
+    )
     async with server:
         await stop
 
@@ -242,73 +215,18 @@ def _resolve_stop(stop: "asyncio.Future[None]") -> None:
 
 
 # ----------------------------------------------------------------------
-# Threaded fallback connection body
-# ----------------------------------------------------------------------
-
-def _read_exact(rfile: Any, n: int) -> bytes | None:
-    data = rfile.read(n)
-    if data is None or len(data) != n:
-        return None
-    return bytes(data)
-
-
-def _serve_connection_sync(
-    conn: socket.socket, dispatcher: QueryDispatcher, codec: FrameCodec
-) -> None:
-    """The blocking twin of ``serve_connection`` for the thread fallback."""
-    binary = False
-    try:
-        with conn, conn.makefile("rb") as rfile:
-            while True:
-                try:
-                    if binary:
-                        header = _read_exact(rfile, HEADER.size)
-                        if header is None:
-                            break
-                        kind, length = codec.unpack_header(header)
-                        payload = _read_exact(rfile, length)
-                        if payload is None:
-                            break
-                        out = process_frame(dispatcher, codec, kind, payload)
-                    else:
-                        line = rfile.readline(_MAX_LINE + 2)
-                        if not line:
-                            break
-                        out, upgraded = process_json_line(
-                            dispatcher, codec, line
-                        )
-                        binary = binary or upgraded
-                except CodecError as exc:
-                    conn.sendall(codec.encode_response(
-                        QueryResponse.failure("bad_request", str(exc))
-                    ))
-                    break
-                conn.sendall(out)
-    except (ConnectionError, OSError, ValueError):
-        # Disconnected mid-request (or the makefile buffer died under a
-        # closed socket) — nothing left to answer.
-        pass
-
-
-# ----------------------------------------------------------------------
 # The pool
 # ----------------------------------------------------------------------
 
 class ServiceWorkerPool:
-    """Serves one estimate store from a pool of workers on one port.
+    """Serves one estimate store from a pool of worker processes on one port.
 
     Args:
-        store: the live publishing store (the parent's); reuseport
-            workers replicate it through the snapshot feed, fallback
-            threads serve it directly.
-        workers: serving workers (processes or threads).
+        store: the live publishing store (the parent's); the workers
+            replicate it through the snapshot feed.
+        workers: serving worker processes.
         host / port: bind address; port ``0`` picks an ephemeral port,
             readable as :attr:`port` after :meth:`start`.
-        mode: ``"auto"`` (reuseport processes where available, threads
-            otherwise), ``"reuseport"`` (fail hard without kernel
-            support), or ``"threads"``.
-        hub: observability hub for the *threads* mode dispatchers;
-            worker processes trace into their own (null) hubs.
     """
 
     def __init__(
@@ -318,65 +236,38 @@ class ServiceWorkerPool:
         workers: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
-        mode: str = "auto",
-        hub: ObserverHub = NULL_HUB,
     ) -> None:
         if workers < 1:
             raise NetworkError("need at least one worker")
-        if mode not in ("auto", "reuseport", "threads"):
-            raise NetworkError(
-                f"unknown mode {mode!r}; supported: auto, reuseport, threads"
-            )
         self.store = store
         self.workers = workers
         self.host = host
-        self.hub = hub
         self._requested_port = port
-        self._requested_mode = mode
-        #: resolved serving mode after start(): "reuseport" | "threads"
-        self.mode: str | None = None
+        #: the bound port between start() and stop()
         self.port: int | None = None
-        # reuseport state
         self._placeholder: socket.socket | None = None
         self._processes: list[multiprocessing.process.BaseProcess] = []
         self._feeds: list[Any] = []
         self._fan_out_cb: Any = None
-        # threads state
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._executor: ThreadPoolExecutor | None = None
 
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> None:
-        if self.mode is not None:
+        if self.port is not None:
             raise NetworkError("worker pool already started")
-        mode = self._requested_mode
-        if mode in ("auto", "reuseport"):
-            if reuseport_available():
-                try:
-                    self._start_reuseport()
-                    return
-                except NetworkError:
-                    if self._fan_out_cb is not None:
-                        self.store.unsubscribe(self._fan_out_cb)
-                        self._fan_out_cb = None
-                    self._teardown_reuseport()
-                    if mode == "reuseport":
-                        raise
-            elif mode == "reuseport":
-                raise NetworkError(
-                    "SO_REUSEPORT is not available on this platform"
-                )
-        self._start_threads()
+        if not reuseport_available():
+            raise NetworkError("SO_REUSEPORT is not available on this platform")
+        try:
+            self._start_workers()
+        except BaseException:
+            self.stop()
+            raise
 
     def stop(self) -> None:
         if self._fan_out_cb is not None:
             self.store.unsubscribe(self._fan_out_cb)
             self._fan_out_cb = None
-        self._teardown_reuseport()
-        self._teardown_threads()
-        self.mode = None
+        self._teardown_workers()
         self.port = None
 
     def __enter__(self) -> "ServiceWorkerPool":
@@ -386,9 +277,9 @@ class ServiceWorkerPool:
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
 
-    # -- reuseport mode -------------------------------------------------
+    # -- worker processes ----------------------------------------------
 
-    def _start_reuseport(self) -> None:
+    def _start_workers(self) -> None:
         ctx = self._mp_context()
         self._placeholder = _reuseport_socket(
             self.host, self._requested_port, listen=False
@@ -434,7 +325,6 @@ class ServiceWorkerPool:
             pending.discard(worker_id)
 
         self.port = port
-        self.mode = "reuseport"
 
     def _mp_context(self) -> "BaseContext":
         methods = multiprocessing.get_all_start_methods()
@@ -444,7 +334,7 @@ class ServiceWorkerPool:
             "fork" if "fork" in methods else methods[0]
         )
 
-    def _teardown_reuseport(self) -> None:
+    def _teardown_workers(self) -> None:
         for feed in self._feeds:
             try:
                 feed.put(None)
@@ -465,59 +355,3 @@ class ServiceWorkerPool:
         if self._placeholder is not None:
             self._placeholder.close()
             self._placeholder = None
-
-    # -- threads mode ---------------------------------------------------
-
-    def _start_threads(self) -> None:
-        self._listener = _plain_listener(self.host, self._requested_port)
-        self.port = int(self._listener.getsockname()[1])
-        codec = FrameCodec()
-        dispatchers = []
-        for worker_id in range(self.workers):
-            engine = QueryEngine(self.store, hub=self.hub)
-            control = WorkerControl(
-                self.store, engine, worker_id=worker_id, mode="threads"
-            )
-            dispatchers.append(QueryDispatcher(engine, control, hub=self.hub))
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="adam2-serve"
-        )
-        listener = self._listener
-        executor = self._executor
-
-        def accept_loop() -> None:
-            turn = 0
-            while True:
-                try:
-                    conn, _addr = listener.accept()
-                except OSError:  # listener closed: shutdown
-                    return
-                dispatcher = dispatchers[turn % len(dispatchers)]
-                turn += 1
-                try:
-                    executor.submit(
-                        _serve_connection_sync, conn, dispatcher, codec
-                    )
-                except RuntimeError:  # raced shutdown
-                    conn.close()
-                    return
-
-        self._accept_thread = threading.Thread(
-            target=accept_loop, name="adam2-accept", daemon=True
-        )
-        self._accept_thread.start()
-        self.mode = "threads"
-
-    def _teardown_threads(self) -> None:
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._listener = None
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None

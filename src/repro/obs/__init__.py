@@ -28,12 +28,7 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.observer import NULL_HUB, ObserverHub, RunObserver
-from repro.obs.profile import (
-    peak_rss_bytes,
-    profile_backends,
-    profile_scaling,
-    write_benchmark,
-)
+from repro.obs.profile import peak_rss_bytes
 from repro.obs.sinks import JsonlSink, MemorySink, StdoutSummarySink
 from repro.obs.spans import QUERY_SPAN, SpanRegistry, SpanStats, wall_clock
 
@@ -59,8 +54,5 @@ __all__ = [
     "SpanStats",
     "StdoutSummarySink",
     "peak_rss_bytes",
-    "profile_backends",
-    "profile_scaling",
     "wall_clock",
-    "write_benchmark",
 ]

@@ -1,57 +1,11 @@
-"""Cross-backend profiling: machine-readable wall-time benchmarks.
-
-:func:`profile_backends` runs the same seeded workload through each
-registered backend at several population sizes with span timing enabled
-and reduces the span statistics to one record per (backend, size) pair.
-:func:`profile_scaling` is the large-``N`` companion: it sweeps the fast
-simulator's execution modes (naive sequential baseline, batched
-float64/float32, sharded) up to million-node populations and records
-wall time, peak RSS, and traffic per node for each point.
-:func:`write_benchmark` serialises the result as ``BENCH_backends.json``
-— the artifact the CI benchmark smoke job publishes.
-
-The record *schema* is deterministic (fixed keys, sorted entries); the
-wall-time values naturally vary with the host.
-"""
+"""Process-level resource readings for benchmark harnesses."""
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import resource
 import sys
-import time
-from pathlib import Path
-from typing import Iterable, Sequence
 
-from repro.core.config import Adam2Config
-from repro.obs.observer import ObserverHub
-from repro.obs.spans import SEP
-from repro.workloads.base import AttributeWorkload
-
-__all__ = [
-    "config_fingerprint",
-    "peak_rss_bytes",
-    "profile_backends",
-    "profile_scaling",
-    "write_benchmark",
-]
-
-#: the paper-benchmark population sizes
-DEFAULT_SIZES = (1_000, 10_000)
-
-#: real-socket populations: one OS socket per node, so the net backend
-#: is profiled at cluster scale rather than simulation scale
-DEFAULT_NET_SIZES = (32, 64)
-
-#: the N-scaling sweep sizes (the paper's headline range)
-DEFAULT_SCALING_SIZES = (1_000, 10_000, 100_000, 1_000_000)
-
-#: population ceiling for the naive sequential baseline in the scaling
-#: sweep — the Python per-node loop is linear at ~100 s per million
-#: node-rounds, so anything past this is recorded as skipped
-DEFAULT_NAIVE_CAP = 1_000_000
+__all__ = ["peak_rss_bytes"]
 
 
 def peak_rss_bytes() -> int:
@@ -66,232 +20,3 @@ def peak_rss_bytes() -> int:
     children_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     scale = 1 if sys.platform == "darwin" else 1024
     return int(max(self_rss, children_rss)) * scale
-
-#: span path engines time each gossip round under
-_ROUND_PATH = SEP.join(("run", "instance", "round"))
-_RUN_PATH = "run"
-
-
-def config_fingerprint(
-    config: Adam2Config, *, instances: int, seed: int, workload: AttributeWorkload
-) -> str:
-    """Stable hash of everything that shapes a benchmark's workload.
-
-    Two benchmark documents are comparable iff their fingerprints match:
-    same protocol parameters, instance count, seed, and workload.  Wall
-    times from different fingerprints measure different work.
-    """
-    identity = {
-        "config": dataclasses.asdict(config),
-        "instances": int(instances),
-        "seed": int(seed),
-        "workload": repr(workload),
-    }
-    digest = hashlib.sha256(
-        json.dumps(identity, sort_keys=True).encode("utf-8")
-    )
-    return digest.hexdigest()[:16]
-
-
-def profile_backends(
-    workload: AttributeWorkload,
-    config: Adam2Config,
-    *,
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    backends: Iterable[str] = ("fast", "round", "async", "net"),
-    net_sizes: Sequence[int] = DEFAULT_NET_SIZES,
-    instances: int = 1,
-    seed: int = 0,
-) -> dict[str, object]:
-    """Time every backend at every size; returns the benchmark document.
-
-    Each entry reports total run wall time, per-round wall time (mean
-    over all timed rounds) and the raw span aggregates, so regressions
-    can be localised to the round kernel vs. setup/measurement overhead.
-
-    The ``net`` backend binds one real UDP socket per node, so it is
-    profiled at the (smaller) ``net_sizes``; in sandboxes that forbid
-    socket binding it is skipped gracefully and recorded under the
-    document's ``skipped`` list instead of failing the whole benchmark.
-    """
-    from repro.api import run  # late import: repro.api depends on repro.obs
-
-    entries: list[dict[str, object]] = []
-    skipped: list[dict[str, object]] = []
-    for backend in backends:
-        backend_sizes = net_sizes if backend == "net" else sizes
-        for n_nodes in backend_sizes:
-            hub = ObserverHub(instrument=True)
-            options: dict[str, object] = {}
-            if backend == "net":
-                options["gossip_period"] = 0.02
-            try:
-                result = run(
-                    config,
-                    workload,
-                    backend=backend,
-                    n_nodes=int(n_nodes),
-                    instances=instances,
-                    seed=seed,
-                    hub=hub,
-                    **options,
-                )
-            except (OSError, PermissionError) as exc:
-                # A sandbox that forbids socket binding fails the net
-                # backend at bind time; record the skip and keep the
-                # simulator baselines comparable.
-                skipped.append({
-                    "backend": backend,
-                    "n_nodes": int(n_nodes),
-                    "reason": f"{type(exc).__name__}: {exc}",
-                })
-                continue
-            run_stats = hub.spans.stats(_RUN_PATH)
-            round_stats = hub.spans.stats(_ROUND_PATH)
-            entries.append({
-                "backend": backend,
-                "n_nodes": int(n_nodes),
-                "instances": instances,
-                "rounds_per_instance": config.rounds_per_instance,
-                "points": config.points,
-                "seed": seed,
-                "rounds_timed": 0 if round_stats is None else round_stats.count,
-                "wall_time_s": 0.0 if run_stats is None else run_stats.total_seconds,
-                "time_per_round_s": (
-                    0.0 if round_stats is None else round_stats.mean_seconds
-                ),
-                "final_err_avg": result.final_errors.average,
-                "peak_rss_bytes": peak_rss_bytes(),
-                "spans": hub.spans.snapshot(),
-            })
-    entries.sort(key=lambda e: (str(e["backend"]), int(e["n_nodes"])))  # type: ignore[arg-type]
-    return {
-        "benchmark": "adam2-backends",
-        "config": dataclasses.asdict(config),
-        "config_fingerprint": config_fingerprint(
-            config, instances=instances, seed=seed, workload=workload
-        ),
-        "sizes": [int(n) for n in sizes],
-        "net_sizes": [int(n) for n in net_sizes],
-        "entries": entries,
-        "skipped": skipped,
-    }
-
-
-def profile_scaling(
-    workload: AttributeWorkload,
-    config: Adam2Config,
-    *,
-    sizes: Sequence[int] = DEFAULT_SCALING_SIZES,
-    shards: int = 8,
-    shard_mix: float | None = None,
-    seed: int = 0,
-    naive_cap: int = DEFAULT_NAIVE_CAP,
-) -> dict[str, object]:
-    """N-scaling sweep over the fast simulator's execution modes.
-
-    Four modes per size, each timed over one *warm* instance (an untimed
-    warm-up instance first absorbs buffer allocation and, for the shard
-    driver, worker start-up — except for ``naive``, whose Python loop
-    dwarfs its setup):
-
-    * ``naive`` — the per-node sequential kernel (PeerSim-faithful
-      reference; the linear baseline the batched modes are judged
-      against), skipped above ``naive_cap`` nodes;
-    * ``batched`` — the vectorised matching kernel on the float64
-      ``(N, λ)`` batch;
-    * ``batched-f32`` — the same with the float32 state (half the
-      memory traffic);
-    * ``sharded-f32`` — the multiprocessing shard driver, float32,
-      ``shards`` workers (cache-sized partitions + sampled cross-shard
-      exchange).
-
-    Entries record wall time, per-round time, peak RSS, and the traffic
-    columns (messages and protocol bytes per node).  Sizes are profiled
-    in ascending order so the monotone RSS counter stays attributable.
-    """
-    from repro.fastsim.adam2 import Adam2Simulation
-    from repro.fastsim.shard import DEFAULT_SHARD_MIX, ShardedAdam2
-
-    entries: list[dict[str, object]] = []
-    skipped: list[dict[str, object]] = []
-    rounds = config.rounds_per_instance
-    mix = DEFAULT_SHARD_MIX if shard_mix is None else shard_mix
-
-    def record(
-        mode: str, n_nodes: int, dtype: str, wall: float, result: object, **extra: object
-    ) -> None:
-        entries.append({
-            "mode": mode,
-            "n_nodes": int(n_nodes),
-            "dtype": dtype,
-            "rounds_per_instance": rounds,
-            "points": config.points,
-            "seed": seed,
-            "wall_time_s": wall,
-            "time_per_round_s": wall / rounds,
-            "peak_rss_bytes": peak_rss_bytes(),
-            "messages_per_node": result.messages_total / n_nodes,  # type: ignore[attr-defined]
-            "bytes_per_node": result.bytes_total / n_nodes,  # type: ignore[attr-defined]
-            "final_err_avg": result.errors_entire.average,  # type: ignore[attr-defined]
-            **extra,
-        })
-
-    for n_nodes in sorted(int(n) for n in sizes):
-        if n_nodes <= naive_cap:
-            sim = Adam2Simulation(
-                workload, n_nodes, config, seed=seed, exchange="sequential"
-            )
-            start = time.perf_counter()
-            outcome = sim.run_instance()
-            record("naive", n_nodes, "float64", time.perf_counter() - start, outcome)
-        else:
-            skipped.append({
-                "mode": "naive",
-                "n_nodes": n_nodes,
-                "reason": f"sequential baseline capped at {naive_cap} nodes",
-            })
-        for mode, dtype in (("batched", "float64"), ("batched-f32", "float32")):
-            sim = Adam2Simulation(
-                workload, n_nodes, config, seed=seed, exchange="matching", dtype=dtype
-            )
-            sim.run_instance()  # warm-up: allocates the reused batch/buffers
-            start = time.perf_counter()
-            outcome = sim.run_instance()
-            record(mode, n_nodes, dtype, time.perf_counter() - start, outcome)
-        if n_nodes >= 2 * shards:
-            with ShardedAdam2(
-                workload, n_nodes, config, seed=seed,
-                shards=shards, shard_mix=mix, dtype="float32",
-            ) as sharded:
-                sharded.run_instance()  # warm-up: starts and warms the workers
-                start = time.perf_counter()
-                outcome = sharded.run_instance()
-                record(
-                    "sharded-f32", n_nodes, "float32",
-                    time.perf_counter() - start, outcome,
-                    shards=shards, shard_mix=mix,
-                    cross_rows_total=outcome.cross_rows_total,
-                )
-        else:
-            skipped.append({
-                "mode": "sharded-f32",
-                "n_nodes": n_nodes,
-                "reason": f"population too small for {shards} shards",
-            })
-    entries.sort(key=lambda e: (int(e["n_nodes"]), str(e["mode"])))  # type: ignore[arg-type]
-    return {
-        "sizes": [int(n) for n in sorted(int(n) for n in sizes)],
-        "shards": int(shards),
-        "shard_mix": mix,
-        "naive_cap": int(naive_cap),
-        "entries": entries,
-        "skipped": skipped,
-    }
-
-
-def write_benchmark(document: dict[str, object], path: str | Path) -> Path:
-    """Write the benchmark document as pretty, key-sorted JSON."""
-    path = Path(path)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path

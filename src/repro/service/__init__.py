@@ -41,7 +41,6 @@ Build one with :func:`repro.api.serve` (or :func:`build_service`)::
     handle.refresh()                                 # run another cycle
 """
 
-from repro.service.bench import profile_service
 from repro.service.handle import ServiceHandle, build_service
 from repro.service.protocol import (
     OPS,
@@ -76,5 +75,4 @@ __all__ = [
     "build_service",
     "estimate_divergence",
     "parse_request",
-    "profile_service",
 ]

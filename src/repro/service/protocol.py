@@ -1,12 +1,11 @@
 """The typed query protocol: one source of truth for the query surface.
 
-Before this module existed the service spoke three parallel ad-hoc dict
-shapes — the endpoint's hand-rolled request parsing, the client's
-convenience-method payload builders, and the bench harness's
-``_query_payload`` helper — and the wire op names (``"fraction"``,
-``"size"``) drifted from the engine method names (``fraction_between``,
-``network_size``) with the mapping re-derived at every site.  This
-module consolidates all of it:
+Before this module existed the service spoke parallel ad-hoc dict
+shapes — the endpoint's hand-rolled request parsing and the client's
+convenience-method payload builders — and the wire op names
+(``"fraction"``, ``"size"``) drifted from the engine method names
+(``fraction_between``, ``network_size``) with the mapping re-derived at
+every site.  This module consolidates all of it:
 
 * :data:`OPS` — the canonical op registry.  Every operation the service
   answers has exactly one :class:`OpSpec` naming its wire op, its
@@ -25,9 +24,9 @@ module consolidates all of it:
   :class:`~repro.service.query.QueryEngine` plus a :class:`ControlPlane`
   (status/history/pin/unpin provider), emitting the same
   :class:`~repro.obs.events.QueryServed` trace events the single-loop
-  endpoint always emitted.  The asyncio endpoint, the SO_REUSEPORT
-  worker processes, and the threaded fallback all serve through one
-  dispatcher instance per engine view.
+  endpoint always emitted.  The asyncio endpoint and the SO_REUSEPORT
+  worker processes serve through one dispatcher instance per engine
+  view.
 
 This module is host-independent — no sockets, no host clocks (latency
 reads go through :func:`repro.obs.wall_clock`) — so it stays outside the
@@ -501,12 +500,12 @@ class QueryDispatcher:
     """Executes typed requests against one engine view + control plane.
 
     Every serving surface — the asyncio endpoint, each SO_REUSEPORT
-    worker process, each fallback thread — owns one dispatcher around
-    its own :class:`~repro.service.query.QueryEngine`.  Engine ops emit
-    their trace events inside the engine; the dispatcher emits for
-    everything the engine never sees (parse failures, control ops), so
-    the trace accounts for every request received, exactly as the
-    single-loop endpoint always guaranteed.
+    worker process — owns one dispatcher around its own
+    :class:`~repro.service.query.QueryEngine`.  Engine ops emit their
+    trace events inside the engine; the dispatcher emits for everything
+    the engine never sees (parse failures, control ops), so the trace
+    accounts for every request received, exactly as the single-loop
+    endpoint always guaranteed.
     """
 
     def __init__(

@@ -27,19 +27,4 @@ __all__ = [
     "RoundRecorder",
     "build_engine",
     "run_until",
-    "run_adam2",
 ]
-
-
-def run_adam2(config, workload, **kwargs):
-    """Deprecated: use ``repro.api.run(config, workload, backend="round")``."""
-    import warnings
-
-    warnings.warn(
-        "repro.simulation.run_adam2 is deprecated; use repro.api.run(..., backend='round')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import run
-
-    return run(config, workload, backend="round", **kwargs)

@@ -143,18 +143,3 @@ class TestRunResult:
         empty = RunResult(backend="fast", n_nodes=48, seed=0, config=CONFIG)
         with pytest.raises(SimulationError):
             _ = empty.final
-
-
-class TestDeprecationShims:
-    @pytest.mark.parametrize(
-        "module_name, backend",
-        [("repro.fastsim", "fast"), ("repro.simulation", "round"), ("repro.asyncsim", "async")],
-    )
-    def test_old_entry_points_warn_and_delegate(self, module_name, backend):
-        import importlib
-
-        module = importlib.import_module(module_name)
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            result = module.run_adam2(CONFIG, WORKLOAD, n_nodes=48, seed=3)
-        assert result.backend == backend
-        assert len(result) == 1

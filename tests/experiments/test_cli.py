@@ -64,32 +64,6 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["fig07", "--backend", "warp"])
 
-    def test_bad_profile_sizes_exits_nonzero(self, capsys):
-        assert main(["--profile", "--profile-sizes", "ten"]) == 2
-        assert "comma-separated integers" in capsys.readouterr().err
-
-    def test_profile_writes_benchmark(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_backends.json"
-        code = main([
-            "--profile", "--profile-sizes", "64",
-            "--profile-net-sizes", "16", "--profile-out", str(out),
-        ])
-        assert code == 0
-        document = json.loads(out.read_text())
-        assert document["benchmark"] == "adam2-backends"
-        assert document["sizes"] == [64]
-        assert document["net_sizes"] == [16]
-        assert len(document["config_fingerprint"]) == 16
-        backends = {entry["backend"] for entry in document["entries"]}
-        skipped = {skip["backend"] for skip in document["skipped"]}
-        # The net backend binds real sockets; sandboxes that forbid that
-        # land it in `skipped` instead of `entries`.
-        assert backends | skipped >= {"fast", "round", "async", "net"}
-        assert {"fast", "round", "async"} <= backends
-        for entry in document["entries"]:
-            assert entry["wall_time_s"] > 0.0
-            assert entry["rounds_timed"] > 0
-
     def test_experiment_with_trace_and_metrics(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_SCALE", "quick")
         trace = tmp_path / "trace.jsonl"

@@ -1,14 +1,17 @@
-"""The multi-worker serving pool: both modes, the snapshot feed, parity."""
+"""The multi-worker serving pool: lifecycle, the snapshot feed, parity."""
 
 from __future__ import annotations
 
 import asyncio
+import json
+import threading
 
 import pytest
 
 from repro.core.config import Adam2Config
 from repro.errors import NetworkError
-from repro.net.service_endpoint import ServiceClient, measure_endpoint_qps
+from repro.net import service_worker
+from repro.net.service_endpoint import ServiceClient, serve_blocking
 from repro.net.service_worker import ServiceWorkerPool, reuseport_available
 from repro.service import build_service
 from repro.service.protocol import QueryRequest
@@ -16,9 +19,13 @@ from repro.workloads.synthetic import uniform_workload
 
 CONFIG = Adam2Config(points=24, rounds_per_instance=25)
 
-#: both modes must speak identical protocol; reuseport only where the
-#: kernel supports it
-MODES = ["threads"] + (["reuseport"] if reuseport_available() else [])
+#: the pool's one serving mode; parametrised so the test ids stay
+#: ``[reuseport]`` across the removal of the threads fallback
+MODES = ["reuseport"]
+
+needs_reuseport = pytest.mark.skipif(
+    not reuseport_available(), reason="SO_REUSEPORT is not available"
+)
 
 
 def run(coro):
@@ -36,31 +43,31 @@ def handle():
     return make_handle()
 
 
+@needs_reuseport
 class TestPoolLifecycle:
     def test_rejects_bad_arguments(self, handle):
         with pytest.raises(NetworkError):
             ServiceWorkerPool(handle.store, workers=0)
-        with pytest.raises(NetworkError):
-            ServiceWorkerPool(handle.store, mode="carrier-pigeon")
 
     @pytest.mark.parametrize("mode", MODES)
     def test_start_stop_is_clean_and_restartable(self, handle, mode):
-        pool = ServiceWorkerPool(handle.store, workers=2, mode=mode)
+        pool = ServiceWorkerPool(handle.store, workers=2)
         with pool:
-            assert pool.mode == mode and pool.port is not None
-        assert pool.mode is None and pool.port is None
+            assert pool.port is not None
+        assert pool.port is None
         with pool:  # a stopped pool can start again
-            assert pool.mode == mode
+            assert pool.port is not None
 
     def test_double_start_fails_loudly(self, handle):
-        pool = ServiceWorkerPool(handle.store, workers=1, mode="threads")
+        pool = ServiceWorkerPool(handle.store, workers=1)
         with pool:
             with pytest.raises(NetworkError):
                 pool.start()
 
 
+@needs_reuseport
 class TestServingParity:
-    """Both pool modes answer byte-identically to the single endpoint."""
+    """The pool answers byte-identically to the single endpoint."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("frame", ["json", "binary"])
@@ -74,7 +81,7 @@ class TestServingParity:
                     await client.network_size(),
                 )
 
-        with ServiceWorkerPool(handle.store, workers=2, mode=mode) as pool:
+        with ServiceWorkerPool(handle.store, workers=2) as pool:
             cdf, quantile, fraction, size = run(scenario(pool.port))
         assert cdf == pytest.approx(handle.cdf(500.0))
         assert quantile == pytest.approx(handle.quantile(0.5))
@@ -91,7 +98,7 @@ class TestServingParity:
                     {"op": "size"},
                 ]})
 
-        with ServiceWorkerPool(handle.store, workers=2, mode=mode) as pool:
+        with ServiceWorkerPool(handle.store, workers=2) as pool:
             response = run(scenario(pool.port))
         results = response["results"]
         assert [r["ok"] for r in results] == [True, False, True]
@@ -103,13 +110,14 @@ class TestServingParity:
             async with ServiceClient("127.0.0.1", port) as client:
                 return await client.status()
 
-        with ServiceWorkerPool(handle.store, workers=2, mode=mode) as pool:
+        with ServiceWorkerPool(handle.store, workers=2) as pool:
             status = run(scenario(pool.port))
         assert status["serving_mode"] == mode
         assert status["backend"] == "fast"
         assert isinstance(status["worker"], int)
 
 
+@needs_reuseport
 class TestSnapshotFeed:
     @pytest.mark.parametrize("mode", MODES)
     def test_new_versions_reach_the_workers(self, mode):
@@ -118,7 +126,7 @@ class TestSnapshotFeed:
 
         async def versions(port, want):
             async with ServiceClient("127.0.0.1", port) as client:
-                # The feed is asynchronous in reuseport mode: poll until
+                # The feed is asynchronous: poll until
                 # the published version lands in a worker replica.
                 for _ in range(100):
                     status = await client.status()
@@ -127,7 +135,7 @@ class TestSnapshotFeed:
                     await asyncio.sleep(0.05)
                 return status["versions"]
 
-        with ServiceWorkerPool(handle.store, workers=2, mode=mode) as pool:
+        with ServiceWorkerPool(handle.store, workers=2) as pool:
             snapshot = handle.refresh()
             seen = run(versions(pool.port, snapshot.version))
         assert snapshot.version in seen
@@ -153,9 +161,7 @@ class TestSnapshotFeed:
                 async with ServiceClient("127.0.0.1", port) as client:
                     return await client.status(), await client.cdf(500.0)
 
-            with ServiceWorkerPool(
-                restarted.store, workers=2, mode=mode
-            ) as pool:
+            with ServiceWorkerPool(restarted.store, workers=2) as pool:
                 status, cdf = run(scenario(pool.port))
         finally:
             restarted.close()
@@ -163,27 +169,15 @@ class TestSnapshotFeed:
         assert cdf == expected  # bit-identical polyline, not approx
 
     def test_stopping_unsubscribes_the_feed(self, handle):
-        pool = ServiceWorkerPool(handle.store, workers=1, mode="threads")
+        pool = ServiceWorkerPool(handle.store, workers=1)
         with pool:
             pass
         # Publishing after stop must not enqueue into dead feeds.
         handle.refresh()
 
 
+@needs_reuseport
 class TestPooledMeasurement:
-    def test_measure_endpoint_qps_uses_the_pool(self, handle):
-        queries = [("cdf", (float(x % 37),)) for x in range(120)]
-        stats = measure_endpoint_qps(
-            handle, queries, clients=3, workers=2, frame="binary", batch_size=8
-        )
-        assert stats["ops"] == 120
-        assert stats["errors"] == 0
-        assert stats["server"] in ("reuseport", "threads")
-        assert stats["qps"] > 0
-        # 120 ops in batches of 8 over 3 clients: 5 requests per client
-        latencies = stats["latencies"]
-        assert isinstance(latencies, list) and len(latencies) == 15
-
     def test_pipeline_through_the_pool(self, handle):
         async def scenario(port):
             async with ServiceClient("127.0.0.1", port, frame="binary") as client:
@@ -196,3 +190,70 @@ class TestPooledMeasurement:
         with ServiceWorkerPool(handle.store, workers=2) as pool:
             ids = run(scenario(pool.port))
         assert ids == list(range(10))
+
+    def test_overlong_line_is_answered_then_closed(self, handle):
+        async def scenario(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op":"size","pad":"' + b"x" * 70_000 + b'"}\n')
+            await writer.drain()
+            line = await reader.readline()
+            rest = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return json.loads(line), rest
+
+        with ServiceWorkerPool(handle.store, workers=1) as pool:
+            response, rest = run(scenario(pool.port))
+        assert response["ok"] is False and response["error"] == "bad_request"
+        assert "too long" in response["message"]
+        assert rest == b""
+
+
+class TestWithoutReuseport:
+    """Hosts without SO_REUSEPORT: the pool refuses, the single loop serves."""
+
+    @pytest.fixture(autouse=True)
+    def no_reuseport(self, monkeypatch):
+        monkeypatch.setattr(service_worker, "reuseport_available", lambda: False)
+
+    def test_pool_start_raises_and_leaves_no_subscription(self):
+        handle = make_handle()
+        before = list(handle.store._subscribers)
+        with pytest.raises(NetworkError):
+            ServiceWorkerPool(handle.store, workers=2).start()
+        assert handle.store._subscribers == before
+
+    def test_serve_blocking_falls_back_to_the_single_loop(self):
+        handle = make_handle()
+        # The refresh cycle may publish mid-test: query a fixed version.
+        version = handle.store.latest().version
+        expected = handle.cdf(500.0)
+        announced: list[str] = []
+        bound = threading.Event()
+
+        def announce(message):
+            announced.append(message)
+            if message.startswith("serving on "):
+                bound.set()
+
+        server = threading.Thread(target=serve_blocking, args=(handle,), kwargs=dict(
+            port=0, workers=2, max_cycles=1, refresh_every=0.5, announce=announce,
+        ))
+        server.start()
+        try:
+            assert bound.wait(10.0)
+            port = int(announced[-1].rsplit(":", 1)[1])
+
+            async def scenario():
+                async with ServiceClient("127.0.0.1", port) as client:
+                    return await client.status(), await client.call(
+                        QueryRequest.cdf(500.0, version=version)
+                    )
+
+            status, response = run(scenario())
+        finally:
+            server.join(30.0)
+        assert not server.is_alive()
+        assert "SO_REUSEPORT unavailable" in announced[0]
+        assert "serving_mode" not in status  # the endpoint, not a pool worker
+        assert response.ok and response.value == expected

@@ -115,3 +115,20 @@ class TestSpanRegistry:
         snapshot = registry.snapshot()
         assert set(snapshot) == {"run"}
         assert snapshot["run"]["count"] == 1
+
+
+def test_bench_harness_finds_peak_rss_bytes():
+    # bench/measure.py imports exactly one name from repro.obs.profile's
+    # old surface; the harness lives outside tier-1, so guard it here.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[2]
+    subprocess.run(
+        [sys.executable, "-c",
+         "from repro.obs import peak_rss_bytes; import bench.measure"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        check=True,
+    )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.core.config import Adam2Config
@@ -211,16 +209,3 @@ class TestDispatcher:
         assert bad == {
             "ok": False, "error": "bad_request", "message": bad["message"]
         }
-
-
-class TestDeprecationShims:
-    def test_query_payload_warns_and_delegates(self):
-        from repro.net.service_endpoint import _query_payload
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            payload = _query_payload("fraction_between", (1.0, 2.0))
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert payload == {"op": "fraction", "a": 1.0, "b": 2.0}
