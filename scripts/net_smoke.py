@@ -85,6 +85,8 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("fault injector never dropped a datagram")
     if counters["decode_errors"] != 0:
         failures.append(f"{counters['decode_errors']} datagrams failed to decode")
+    if counters["push_errors"] != 0:
+        failures.append(f"{counters['push_errors']} pushes raised instead of completing")
     if summary.errors_points.maximum >= 0.2:
         failures.append(
             f"max CDF error {summary.errors_points.maximum:.4f} did not converge"

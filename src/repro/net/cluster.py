@@ -187,11 +187,12 @@ class LocalCluster:
         return messages, bytes_
 
     def counters(self) -> dict[str, int]:
-        """Aggregated transport/fault counters across the cluster."""
+        """Aggregated transport/daemon/fault counters across the cluster."""
         totals = {
             "messages_sent": 0, "bytes_sent": 0, "messages_received": 0,
             "retries": 0, "timeouts": 0, "duplicates_suppressed": 0,
-            "decode_errors": 0, "push_failures": 0, "dropped": 0,
+            "decode_errors": 0, "push_failures": 0, "push_errors": 0,
+            "pushes_skipped": 0, "dropped": 0,
         }
         for daemon in self.daemons:
             transport = daemon.transport
@@ -203,6 +204,8 @@ class LocalCluster:
             totals["duplicates_suppressed"] += transport.duplicates_suppressed
             totals["decode_errors"] += transport.decode_errors
             totals["push_failures"] += daemon.push_failures
+            totals["push_errors"] += daemon.push_errors
+            totals["pushes_skipped"] += daemon.pushes_skipped
             if daemon.transport.fault is not None:
                 totals["dropped"] += daemon.transport.fault.dropped
         return totals

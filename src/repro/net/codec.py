@@ -18,13 +18,21 @@ All multi-byte fields are little-endian; arrays are float64.  Instance
 ids on the wire are ``(origin u32, counter u32)`` pairs, matching the
 ``(node_id, counter)`` tuples :class:`~repro.core.node.Adam2Node`
 assigns.
+
+Each direction touches a state's numbers once: encoding serialises the
+arrays it is handed (live protocol state included — nothing is cloned
+first) and lets the ``struct.pack`` that writes the integer fields
+range-check them; decoding copies a state's ``2k + 2kv`` doubles as one
+block, checks its finiteness once, and slices it into the four arrays
+(disjoint, writable, none aliasing the datagram).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Any, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,9 +72,9 @@ _COUNT = struct.Struct("<H")
 _STATE_FIXED = struct.Struct("<IIHBHHIdddd")
 
 _FLAG_INITIATOR = 0x01
+_F8 = np.dtype("<f8")
 
 _U32_MAX = 2**32 - 1
-_U64_MAX = 2**64 - 1
 _U16_MAX = 2**16 - 1
 
 
@@ -94,22 +102,6 @@ class Message:
         return self.kind in (MSG_PUSH, MSG_SAMPLE_REQUEST)
 
 
-def _wire_instance_id(instance_id: Hashable) -> tuple[int, int]:
-    """Validate and split a core instance id into its wire pair."""
-    if (
-        not isinstance(instance_id, tuple)
-        or len(instance_id) != 2
-        or not all(isinstance(part, int) for part in instance_id)
-    ):
-        raise CodecError(
-            f"instance id {instance_id!r} is not a (node_id, counter) integer pair"
-        )
-    origin, counter = instance_id
-    if not (0 <= origin <= _U32_MAX and 0 <= counter <= _U32_MAX):
-        raise CodecError(f"instance id {instance_id!r} outside the u32 wire range")
-    return origin, counter
-
-
 class WireCodec:
     """Encodes and decodes Adam2 datagrams within a length budget.
 
@@ -123,6 +115,8 @@ class WireCodec:
         if max_datagram < _HEADER.size + _COUNT.size + _STATE_FIXED.size + 16:
             raise CodecError(f"max_datagram {max_datagram} cannot fit a single state")
         self.max_datagram = max_datagram
+        #: bytes left for state records after the header and the count
+        self.states_budget = max_datagram - _HEADER.size - _COUNT.size
 
     # ------------------------------------------------------------------
     # Sizing
@@ -144,7 +138,7 @@ class WireCodec:
         highest TTL first); states that do not fit are dropped — gossip
         is redundant, so a dropped state rides a later datagram.
         """
-        budget = self.max_datagram - _HEADER.size - _COUNT.size
+        budget = self.states_budget
         kept: dict[Hashable, InstanceState] = {}
         for iid, state in states.items():
             size = self.state_size(state)
@@ -154,18 +148,86 @@ class WireCodec:
             kept[iid] = state
         return kept
 
+    def fit_records(self, records: list[bytes]) -> list[bytes]:
+        """:meth:`fit_states` for already-encoded :meth:`encode_state` records."""
+        budget = self.states_budget
+        for count, record in enumerate(records):
+            budget -= len(record)
+            if budget < 0:
+                return records[:count]
+        return records
+
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
 
     def _header(self, kind: int, sender: int, msg_id: int) -> bytes:
-        if kind not in _KINDS:
-            raise CodecError(f"unknown message kind {kind}")
-        if not 0 <= sender <= _U32_MAX:
-            raise CodecError(f"sender id {sender} outside the u32 wire range")
-        if not 0 <= msg_id <= _U64_MAX:
-            raise CodecError(f"message id {msg_id} outside the u64 wire range")
-        return _HEADER.pack(MAGIC, WIRE_VERSION, kind, sender, msg_id)
+        try:
+            return _HEADER.pack(MAGIC, WIRE_VERSION, kind, sender, msg_id)
+        except struct.error:
+            raise CodecError(
+                f"header (kind, sender, msg_id) = ({kind!r}, {sender!r}, {msg_id!r}) "
+                f"outside the u8 / u32 / u64 wire ranges"
+            ) from None
+
+    def encode_state(self, instance_id: Hashable, state: InstanceState) -> bytes:
+        """One state's wire record: the fixed part, then its four arrays.
+
+        The bytes are final when this returns, so a caller may mutate
+        ``state`` (merge into it) right after without cloning it first.
+        """
+        h = state.h
+        k = h.thresholds.size
+        kv = state.v_thresholds.size
+        if k != h.fractions.size or kv != state.v_fractions.size:
+            raise CodecError(f"state {instance_id!r} has mismatched threshold/fraction arrays")
+        pair: Any = instance_id
+        try:
+            origin, counter = pair
+            fixed = _STATE_FIXED.pack(
+                origin,
+                counter,
+                state.ttl,
+                _FLAG_INITIATOR if state.initiator else 0,
+                k,
+                kv,
+                max(0, min(state.started_round, _U32_MAX)),
+                state.weight,
+                state.count_average,
+                h.minimum,
+                h.maximum,
+            )
+        except (TypeError, ValueError, struct.error):
+            raise CodecError(
+                f"state {instance_id!r} does not fit the wire: the instance id must be a "
+                f"(node_id, counter) u32 pair, the TTL ({state.ttl}) and the point "
+                f"counts ({k}, {kv}) u16, every other field a number"
+            ) from None
+        # tobytes() writes C order whatever the strides: only a foreign
+        # dtype needs converting.
+        return fixed + b"".join([
+            (array if array.dtype == _F8 else array.astype(_F8)).tobytes()
+            for array in (h.thresholds, h.fractions, state.v_thresholds, state.v_fractions)
+        ])
+
+    def pack_states(
+        self, kind: int, sender: int, msg_id: int, records: Sequence[bytes]
+    ) -> bytes:
+        """Frame :meth:`encode_state` records as one push or pull datagram."""
+        if kind not in (MSG_PUSH, MSG_PULL):
+            raise CodecError(f"kind {kind} does not carry instance states")
+        if len(records) > _U16_MAX:
+            raise CodecError(f"too many states for one datagram: {len(records)}")
+        datagram = b"".join(
+            [self._header(kind, sender, msg_id), _COUNT.pack(len(records)), *records]
+        )
+        if len(datagram) > self.max_datagram:
+            raise CodecError(
+                f"datagram of {len(datagram)} bytes exceeds the "
+                f"{self.max_datagram}-byte budget ({len(records)} states); "
+                f"trim the payload with fit_states() first"
+            )
+        return datagram
 
     def encode_states(
         self,
@@ -175,49 +237,10 @@ class WireCodec:
         states: Mapping[Hashable, InstanceState],
     ) -> bytes:
         """Encode a push or pull datagram carrying instance snapshots."""
-        if kind not in (MSG_PUSH, MSG_PULL):
-            raise CodecError(f"kind {kind} does not carry instance states")
-        if len(states) > _U16_MAX:
-            raise CodecError(f"too many states for one datagram: {len(states)}")
-        parts = [self._header(kind, sender, msg_id), _COUNT.pack(len(states))]
-        for iid, state in states.items():
-            origin, counter = _wire_instance_id(iid)
-            thresholds = np.ascontiguousarray(state.h.thresholds, dtype="<f8")
-            fractions = np.ascontiguousarray(state.h.fractions, dtype="<f8")
-            v_thresholds = np.ascontiguousarray(state.v_thresholds, dtype="<f8")
-            v_fractions = np.ascontiguousarray(state.v_fractions, dtype="<f8")
-            if thresholds.size != fractions.size or v_thresholds.size != v_fractions.size:
-                raise CodecError(f"state {iid!r} has mismatched threshold/fraction arrays")
-            if thresholds.size > _U16_MAX or v_thresholds.size > _U16_MAX:
-                raise CodecError(f"state {iid!r} has too many interpolation points")
-            if not 0 <= state.ttl <= _U16_MAX:
-                raise CodecError(f"state {iid!r} TTL {state.ttl} outside the u16 wire range")
-            flags = _FLAG_INITIATOR if state.initiator else 0
-            parts.append(_STATE_FIXED.pack(
-                origin,
-                counter,
-                state.ttl,
-                flags,
-                thresholds.size,
-                v_thresholds.size,
-                max(0, min(int(state.started_round), _U32_MAX)),
-                float(state.weight),
-                float(state.count_average),
-                float(state.h.minimum),
-                float(state.h.maximum),
-            ))
-            parts.append(thresholds.tobytes())
-            parts.append(fractions.tobytes())
-            parts.append(v_thresholds.tobytes())
-            parts.append(v_fractions.tobytes())
-        datagram = b"".join(parts)
-        if len(datagram) > self.max_datagram:
-            raise CodecError(
-                f"datagram of {len(datagram)} bytes exceeds the "
-                f"{self.max_datagram}-byte budget ({len(states)} states); "
-                f"trim the payload with fit_states() first"
-            )
-        return datagram
+        return self.pack_states(
+            kind, sender, msg_id,
+            [self.encode_state(iid, state) for iid, state in states.items()],
+        )
 
     def encode_sample_request(self, sender: int, msg_id: int) -> bytes:
         """Encode a bootstrap request for a peer's attribute values."""
@@ -225,7 +248,7 @@ class WireCodec:
 
     def encode_sample_response(self, sender: int, msg_id: int, values: np.ndarray) -> bytes:
         """Encode a bootstrap response carrying attribute values."""
-        values = np.ascontiguousarray(np.atleast_1d(values), dtype="<f8")
+        values = np.atleast_1d(np.asarray(values, dtype=_F8))
         budget = (self.max_datagram - _HEADER.size - _COUNT.size) // 8
         if values.size > min(budget, _U16_MAX):
             values = values[: min(budget, _U16_MAX)]
@@ -279,40 +302,41 @@ class WireCodec:
                 weight, count_average, minimum, maximum,
             ) = _STATE_FIXED.unpack_from(datagram, offset)
             offset += _STATE_FIXED.size
-            arrays_bytes = 8 * (2 * k + 2 * kv)
-            if len(datagram) < offset + arrays_bytes:
+            doubles = 2 * k + 2 * kv
+            if len(datagram) < offset + 8 * doubles:
                 raise CodecError("datagram truncated inside a state's arrays")
-            thresholds = np.frombuffer(datagram, dtype="<f8", count=k, offset=offset).copy()
-            offset += 8 * k
-            fractions = np.frombuffer(datagram, dtype="<f8", count=k, offset=offset).copy()
-            offset += 8 * k
-            v_thresholds = np.frombuffer(datagram, dtype="<f8", count=kv, offset=offset).copy()
-            offset += 8 * kv
-            v_fractions = np.frombuffer(datagram, dtype="<f8", count=kv, offset=offset).copy()
-            offset += 8 * kv
-            if not np.all(np.isfinite(thresholds)) or not np.all(np.isfinite(fractions)):
-                raise CodecError(f"state ({origin}, {counter}) carries non-finite points")
-            if not (np.isfinite(minimum) and np.isfinite(maximum) and minimum <= maximum):
+            # The one copy: the slices below are disjoint writable views
+            # of a block that no longer aliases the datagram.
+            block = np.frombuffer(datagram, _F8, doubles, offset).copy()
+            offset += 8 * doubles
+            if not (
+                np.isfinite(block).all()
+                and math.isfinite(weight)
+                and math.isfinite(count_average)
+            ):
+                raise CodecError(f"state ({origin}, {counter}) carries non-finite numbers")
+            if not (math.isfinite(minimum) and math.isfinite(maximum) and minimum <= maximum):
                 raise CodecError(
                     f"state ({origin}, {counter}) extremes [{minimum}, {maximum}] invalid"
                 )
             iid = (origin, counter)
             if iid in states:
                 raise CodecError(f"duplicate state {iid!r} in one datagram")
+            split = 2 * k
             states[iid] = InstanceState(
                 instance_id=iid,
                 h=InterpolationSet(
-                    thresholds=thresholds,
-                    fractions=fractions,
-                    minimum=float(minimum),
-                    maximum=float(maximum),
+                    thresholds=block[:k],
+                    fractions=block[k:split],
+                    minimum=minimum,
+                    maximum=maximum,
                 ),
-                weight=float(weight),
-                v_thresholds=v_thresholds,
-                v_fractions=v_fractions,
-                count_average=float(count_average),
-                ttl=int(ttl),
-                started_round=int(started_round),
+                weight=weight,
+                v_thresholds=block[split:split + kv],
+                v_fractions=block[split + kv:],
+                count_average=count_average,
+                ttl=ttl,
+                started_round=started_round,
                 initiator=bool(flags & _FLAG_INITIATOR),
             )
         return states, offset
@@ -324,8 +348,8 @@ class WireCodec:
         offset += _COUNT.size
         if len(datagram) < offset + 8 * count:
             raise CodecError("datagram truncated inside the value array")
-        values = np.frombuffer(datagram, dtype="<f8", count=count, offset=offset).copy()
+        values = np.frombuffer(datagram, _F8, count, offset).copy()
         offset += 8 * count
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise CodecError("sample response carries non-finite values")
         return values, offset

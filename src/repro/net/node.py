@@ -8,12 +8,14 @@ A :class:`NodeDaemon` wires the engine-independent protocol core
 * a **gossip timer** fires every ``gossip_period`` seconds (jittered so
   peers desynchronise); each fire is one local round — TTLs count these
   fires, exactly like the asynchronous simulator's per-node clocks;
-* each fire launches one bounded-background **push** at a selected peer:
-  a budget-fitted snapshot of every live instance; the pull reply
-  carries the responder's *pre-merge* snapshots and is merged on
-  arrival, completing the mass-conserving symmetric exchange;
+* each fire sends one bounded-background **push** at a selected peer:
+  every live instance that fits the budget, serialised straight from
+  the live state (the tick runs to the encoder without yielding, so the
+  bytes *are* the snapshot); the pull reply carries the responder's
+  *pre-merge* states and is merged from the request future's
+  done-callback, completing the mass-conserving symmetric exchange;
 * incoming pushes are handled synchronously on the event loop (join /
-  snapshot / merge / piggyback, mirroring
+  serialise / merge / piggyback, mirroring
   :meth:`repro.asyncsim.adam2.AsyncAdam2.on_request`), so protocol state
   never sees concurrent mutation;
 * the **neighbour bootstrap** collects attribute values from sampled
@@ -32,14 +34,15 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-from typing import Any, Hashable, Sequence
+from functools import partial
+from typing import Any, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.config import Adam2Config
 from repro.core.instance import InstanceState
 from repro.core.node import Adam2Node
-from repro.errors import NetworkError, TransportTimeout
+from repro.errors import NetworkError
 from repro.lint.sanitizer import (
     capture_instance_masses,
     check_delivery_merge,
@@ -48,7 +51,7 @@ from repro.lint.sanitizer import (
 )
 from repro.net.codec import MSG_PULL, MSG_PUSH, MSG_SAMPLE_REQUEST, Message, WireCodec
 from repro.net.faults import FaultInjector
-from repro.net.peers import PeerDirectory
+from repro.net.peers import PeerDirectory, PeerRecord
 from repro.net.transport import UdpTransport
 from repro.rngs import make_rng, spawn
 
@@ -132,9 +135,9 @@ class NodeDaemon:
         self.push_failures = 0
         #: timer fires that skipped their push at the in-flight bound
         self.pushes_skipped = 0
-        #: unexpected exceptions retrieved from background push tasks
+        #: unexpected exceptions on the push path (encode, merge, bootstrap)
         self.push_errors = 0
-        self._inflight: set[asyncio.Task[None]] = set()
+        self._inflight: set[asyncio.Future[Any]] = set()
         self._running = False
         self._crashed = False
 
@@ -189,8 +192,8 @@ class NodeDaemon:
 
     def close(self) -> None:
         """Close the socket and cancel in-flight pushes."""
-        for task in tuple(self._inflight):
-            task.cancel()
+        for future in tuple(self._inflight):
+            future.cancel()
         self._inflight.clear()
         self.transport.close()
 
@@ -219,42 +222,66 @@ class NodeDaemon:
             return
         peer = self.directory.select(self.rng)
         if peer is not None:
-            self._spawn(self._push(peer.peer_id, peer.address))
+            try:
+                self._push(peer)
+            except Exception as exc:  # e.g. a state the codec refuses
+                self._push_failed(exc)
+
+    def _push_failed(self, exc: BaseException) -> None:
+        """Count an unexpected push-path exception and hand it, traceback
+        and all, to the loop's handler: the timer keeps ticking (TTLs
+        must), but not silently — counters() surfaces the count."""
+        self.push_errors += 1
+        asyncio.get_running_loop().call_exception_handler(
+            {"message": f"node {self.node_id}: push failed", "exception": exc}
+        )
 
     def _spawn(self, coro: Any) -> None:
         task = asyncio.get_running_loop().create_task(coro)
         self._inflight.add(task)
-        task.add_done_callback(self._on_push_done)
+        task.add_done_callback(self._on_spawned_done)
 
-    def _on_push_done(self, task: asyncio.Task[None]) -> None:
+    def _on_spawned_done(self, task: asyncio.Future[Any]) -> None:
         # Unbind *and* observe: a discard-only callback leaves the task's
-        # exception unretrieved, so a crashed push would only surface as an
-        # asyncio log line at interpreter exit while the node keeps
+        # exception unretrieved, so a crashed bootstrap would only surface
+        # as an asyncio log line at interpreter exit while the node keeps
         # believing it is gossiping.
         self._inflight.discard(task)
-        if task.cancelled():
-            return
-        if task.exception() is not None:
-            self.push_errors += 1
+        exc = None if task.cancelled() else task.exception()
+        if exc is not None:
+            self._push_failed(exc)
 
-    async def _push(self, peer_id: int, address: tuple[str, int]) -> None:
-        # Snapshot highest-TTL first: fit_states keeps a prefix, and the
-        # youngest instances have the most averaging left to do.
-        ordered = sorted(self.adam2.instances.items(), key=lambda kv: -kv[1].ttl)
-        snapshots = {iid: state.snapshot() for iid, state in ordered}
-        payload = self.codec.fit_states(snapshots)
+    def _push(self, peer: PeerRecord) -> None:
+        # No await between reading the live states and encode_states
+        # returning, so the datagram is the snapshot: nothing is cloned.
+        states: Mapping[Hashable, InstanceState] = self.adam2.instances
+        if len(states) > 1:
+            # Highest TTL first: fit_states keeps a prefix, and the
+            # youngest instances have the most averaging left to do.
+            states = dict(sorted(states.items(), key=lambda kv: -kv[1].ttl))
+        payload = self.codec.fit_states(states)
         if not payload:
             return
         msg_id = self.transport.next_msg_id()
         datagram = self.codec.encode_states(MSG_PUSH, self.node_id, msg_id, payload)
-        try:
-            reply = await self.transport.request(datagram, address, msg_id)
-        except TransportTimeout:
+        pull = self.transport.request(datagram, peer.address, msg_id)
+        self._inflight.add(pull)
+        pull.add_done_callback(partial(self._on_pull, peer.peer_id))
+
+    def _on_pull(self, peer_id: int, pull: asyncio.Future[Message]) -> None:
+        """The push's request future is done: merge the pull, or record why not."""
+        self._inflight.discard(pull)
+        if pull.cancelled():
+            return
+        if pull.exception() is not None:
             self.push_failures += 1
             self.directory.mark_failure(peer_id)
             return
         self.directory.mark_alive(peer_id)
-        self._merge_payload(reply.states)
+        try:
+            self._merge(pull.result().states)
+        except Exception as exc:  # e.g. a sanitizer violation
+            self._push_failed(exc)
 
     # ------------------------------------------------------------------
     # Request handling (transport RequestHandler)
@@ -269,48 +296,38 @@ class NodeDaemon:
             return codec.encode_sample_response(self.node_id, message.msg_id, self.adam2.values)
         if message.kind != MSG_PUSH:
             return None
-        adam2 = self.adam2
-        pre = capture_instance_masses(adam2) if self.sanitize else None
-        response: dict[Hashable, InstanceState] = {}
-        for iid, remote in message.states.items():
-            local = adam2.instances.get(iid)
-            if local is None:
-                if remote.ttl <= 1 or iid in adam2.finished_ids:
-                    continue  # nearly expired or already terminated here
-                local = adam2.join_instance(remote, round_=self.rounds)
-            # Snapshot after joining but before merging: the initiator
-            # merging this pull completes the mass-conserving symmetric
-            # exchange (same semantics as the async simulator).
-            response[iid] = local.snapshot()
-            local.merge_from(remote)
-        if pre is not None:
-            check_delivery_merge(
-                adam2, pre, message.states, backend="net", round_index=self.rounds
-            )
-            check_node_invariants(
-                adam2, backend="net", round_index=self.rounds, node=self.node_id
-            )
+        records: list[bytes] = []
+        self._merge(message.states, records)
         # Piggyback instances the sender has not seen yet, so instances
         # spread on pulls as well as pushes.
-        for iid, state in adam2.instances.items():
-            if iid not in response and iid not in message.states:
-                response[iid] = state.snapshot()
+        for iid, state in self.adam2.instances.items():
+            if iid not in message.states:
+                records.append(codec.encode_state(iid, state))
         # Always reply, even with zero states: the pull doubles as the
         # acknowledgement, and a silent decline would read as a crash.
-        payload = codec.fit_states(response)
-        return codec.encode_states(MSG_PULL, self.node_id, message.msg_id, payload)
+        return codec.pack_states(
+            MSG_PULL, self.node_id, message.msg_id, codec.fit_records(records)
+        )
 
-    def _merge_payload(self, states: dict[Hashable, InstanceState]) -> None:
-        if not states:
-            return
+    def _merge(
+        self, states: dict[Hashable, InstanceState], reply: list[bytes] | None = None
+    ) -> None:
+        """Average each remote state into its local instance (joining it
+        first where new); for a push, ``reply`` collects the pull records."""
         adam2 = self.adam2
         pre = capture_instance_masses(adam2) if self.sanitize else None
         for iid, remote in states.items():
             local = adam2.instances.get(iid)
             if local is None:
                 if remote.ttl <= 1 or iid in adam2.finished_ids:
-                    continue
+                    continue  # nearly expired or already terminated here
                 local = adam2.join_instance(remote, round_=self.rounds)
+            if reply is not None:
+                # Serialise after joining but before merging: the bytes
+                # are the pre-merge snapshot (no clone), and the initiator
+                # merging them completes the mass-conserving symmetric
+                # exchange (same semantics as the async simulator).
+                reply.append(self.codec.encode_state(iid, local))
             local.merge_from(remote)
         if pre is not None:
             check_delivery_merge(adam2, pre, states, backend="net", round_index=self.rounds)

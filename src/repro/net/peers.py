@@ -16,6 +16,12 @@ them occasionally for recovery:
 This is deliberately simpler than a full SWIM-style failure detector:
 gossip tolerates false suspicion (the peer just receives less traffic),
 so cheap local evidence is enough.
+
+Selection runs every gossip tick; membership and suspicion change
+rarely.  The sorted healthy / suspected id lists are therefore an index
+that a transition (new peer, removal, first suspicion, recovery) only
+invalidates and the next draw rebuilds in one pass: the same ids in the
+same order as a sorted scan, so a seeded generator picks the same peers.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ class PeerDirectory:
     suspicion_threshold: int = 3
     probe_rate: float = 0.05
     _peers: dict[int, PeerRecord] = field(default_factory=dict)
+    #: sorted (healthy, suspected) ids; ``None`` after a transition
+    _index: tuple[list[int], list[int]] | None = None
 
     def __post_init__(self) -> None:
         if self.suspicion_threshold < 1:
@@ -73,6 +81,7 @@ class PeerDirectory:
         record = self._peers.get(peer_id)
         if record is None:
             self._peers[peer_id] = PeerRecord(peer_id=peer_id, address=address)
+            self._index = None
         else:
             record.address = address
 
@@ -80,6 +89,7 @@ class PeerDirectory:
         """Forget a peer (administrative leave)."""
         if self._peers.pop(peer_id, None) is None:
             raise NetworkError(f"unknown peer {peer_id}")
+        self._index = None
 
     def get(self, peer_id: int) -> PeerRecord:
         record = self._peers.get(peer_id)
@@ -99,11 +109,22 @@ class PeerDirectory:
 
     def healthy_ids(self) -> list[int]:
         """Peers currently below the suspicion threshold, sorted."""
-        return sorted(pid for pid, rec in self._peers.items() if not rec.suspected)
+        return list(self._pools()[0])
 
     def suspected_ids(self) -> list[int]:
         """Peers currently suspected of having failed, sorted."""
-        return sorted(pid for pid, rec in self._peers.items() if rec.suspected)
+        return list(self._pools()[1])
+
+    def _pools(self) -> tuple[list[int], list[int]]:
+        """The ``(healthy, suspected)`` index, rebuilt after a transition."""
+        index = self._index
+        if index is None:
+            healthy: list[int] = []
+            suspected: list[int] = []
+            for peer_id in sorted(self._peers):
+                (suspected if self._peers[peer_id].suspected else healthy).append(peer_id)
+            index = self._index = (healthy, suspected)
+        return index
 
     # ------------------------------------------------------------------
     # Liveness evidence
@@ -115,8 +136,10 @@ class PeerDirectory:
         if record is None:
             return  # evidence about a peer we no longer track
         record.failures = 0
-        record.suspected = False
         record.successes += 1
+        if record.suspected:
+            record.suspected = False
+            self._index = None
 
     def mark_failure(self, peer_id: int) -> bool:
         """An exchange with the peer timed out; returns suspicion state."""
@@ -124,8 +147,9 @@ class PeerDirectory:
         if record is None:
             return False
         record.failures += 1
-        if record.failures >= self.suspicion_threshold:
+        if record.failures >= self.suspicion_threshold and not record.suspected:
             record.suspected = True
+            self._index = None
         return record.suspected
 
     # ------------------------------------------------------------------
@@ -135,8 +159,7 @@ class PeerDirectory:
     def select(self, rng: np.random.Generator) -> PeerRecord | None:
         """Pick a gossip partner: uniform over healthy peers, with an
         occasional probe of a suspected one; ``None`` when empty."""
-        healthy = self.healthy_ids()
-        suspected = self.suspected_ids()
+        healthy, suspected = self._pools()
         if healthy and suspected and self.probe_rate > 0.0 and rng.random() < self.probe_rate:
             return self._peers[suspected[int(rng.integers(0, len(suspected)))]]
         pool = healthy or suspected
@@ -146,7 +169,8 @@ class PeerDirectory:
 
     def sample(self, count: int, rng: np.random.Generator) -> list[PeerRecord]:
         """Up to ``count`` distinct healthy peers (for bootstrap sampling)."""
-        pool = self.healthy_ids() or self.suspected_ids()
+        healthy, suspected = self._pools()
+        pool = healthy or suspected
         if not pool or count <= 0:
             return []
         if len(pool) > count:

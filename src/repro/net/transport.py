@@ -5,11 +5,13 @@ implements the delivery machinery the gossip daemon builds on:
 
 * **request/response correlation** — a push (or sample request) datagram
   carries a sender-scoped message id; the matching pull (or sample
-  response) echoes it, resolving the awaiting future.
-* **bounded retry** — an unanswered request is resent with exponential
-  backoff plus jitter; after ``max_retries`` resends the request fails
+  response) echoes it, resolving the request's future.
+* **bounded retry** — one ``call_later`` timer per request, re-armed from
+  its own callback: an unanswered request is resent with exponential
+  backoff plus jitter; after ``max_retries`` resends the future fails
   with :class:`~repro.errors.TransportTimeout` (the daemon records a
-  peer failure).
+  peer failure).  However the future ends — reply, timeout, ``close()``,
+  or its holder cancelling it — its done-callback disarms the timer.
 * **duplicate suppression** — responders keep a bounded reply cache
   keyed by ``(sender, msg_id)``; a retried request is answered from the
   cache *without re-invoking the handler*, so a lost response never
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 import asyncio
 from collections import OrderedDict
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Protocol
 
 import numpy as np
@@ -42,6 +46,20 @@ class RequestHandler(Protocol):
 
     def handle_request(self, message: Message, codec: WireCodec) -> bytes | None:
         """Handle a decoded request; return the encoded reply (or None)."""
+
+
+@dataclass(slots=True)
+class _Pending:
+    """One unanswered request: its future and the retry timer's state."""
+
+    future: asyncio.Future[Message]
+    datagram: bytes
+    address: tuple[str, int]
+    #: base wait before the next resend (grows by ``backoff``)
+    timeout: float
+    #: datagrams sent for this request so far
+    sends: int = 0
+    timer: asyncio.TimerHandle = field(init=False)
 
 
 class UdpTransport(asyncio.DatagramProtocol):
@@ -89,7 +107,7 @@ class UdpTransport(asyncio.DatagramProtocol):
         self._dedup_size = dedup_size
         self._transport: asyncio.DatagramTransport | None = None
         self._address: tuple[str, int] | None = None
-        self._pending: dict[int, asyncio.Future[Message]] = {}
+        self._pending: dict[int, _Pending] = {}
         self._reply_cache: OrderedDict[tuple[int, int], bytes] = OrderedDict()
         self._next_msg_id = 0
         # -- counters (observability reads these) -----------------------
@@ -126,16 +144,21 @@ class UdpTransport(asyncio.DatagramProtocol):
         return self._address
 
     def close(self) -> None:
-        """Close the socket and fail every pending request."""
+        """Close the socket for good and fail every pending request."""
         if self._transport is not None:
             self._transport.close()
             self._transport = None
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(TransportTimeout("transport closed"))
-                # The requester may already be cancelled (daemon crash /
+        # A closed endpoint answers nothing; letting go of the daemon also
+        # unties the daemon <-> transport cycle, so a closed cluster is
+        # freed on the spot instead of waiting for the cycle collector.
+        self.handler = None
+        for pending in self._pending.values():
+            pending.timer.cancel()
+            if not pending.future.done():
+                pending.future.set_exception(TransportTimeout("transport closed"))
+                # The requester may already be gone (daemon crash /
                 # shutdown) and never retrieve this; mark it consumed.
-                future.exception()
+                pending.future.exception()
         self._pending.clear()
 
     # ------------------------------------------------------------------
@@ -162,39 +185,53 @@ class UdpTransport(asyncio.DatagramProtocol):
         if self._transport is not None:  # closed mid-delay: drop silently
             self._transport.sendto(datagram, address)
 
-    async def request(
+    def request(
         self, datagram: bytes, address: tuple[str, int], msg_id: int
-    ) -> Message:
-        """Send a request datagram and await its correlated response.
+    ) -> asyncio.Future[Message]:
+        """Send a request datagram; the future resolves to its response.
 
-        The *same bytes* are resent on every retry, so a responder that
-        already processed the request answers retries from its reply
-        cache instead of re-merging.
+        Await the future, or attach a done-callback to it — the daemon's
+        pushes do the latter, so a gossip tick costs no task.  The *same
+        bytes* are resent on every retry, so a responder that already
+        processed the request answers retries from its reply cache
+        instead of re-merging.  Cancelling the future abandons the
+        request: no further retry is sent.
         """
         if msg_id in self._pending:
             raise NetworkError(f"message id {msg_id} already has a pending request")
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future[Message] = loop.create_future()
-        self._pending[msg_id] = future
-        timeout = self.request_timeout
-        try:
-            for attempt in range(self.max_retries + 1):
-                if attempt > 0:
-                    self.retries += 1
-                self.send(datagram, address)
-                wait = timeout * (1.0 + self.retry_jitter * float(self.rng.random()))
-                try:
-                    return await asyncio.wait_for(asyncio.shield(future), wait)
-                except asyncio.TimeoutError:
-                    timeout *= self.backoff
+        future: asyncio.Future[Message] = asyncio.get_running_loop().create_future()
+        pending = _Pending(future, datagram, address, self.request_timeout)
+        self._attempt(pending)
+        self._pending[msg_id] = pending
+        future.add_done_callback(partial(self._forget, msg_id))
+        return future
+
+    def _attempt(self, pending: _Pending) -> None:
+        """Send the request once more and arm the timer for its reply."""
+        self.send(pending.datagram, pending.address)
+        pending.sends += 1
+        wait = pending.timeout * (1.0 + self.retry_jitter * float(self.rng.random()))
+        pending.timeout *= self.backoff
+        pending.timer = pending.future.get_loop().call_later(wait, self._on_timer, pending)
+
+    def _on_timer(self, pending: _Pending) -> None:
+        """No reply within the wait: resend, or fail the request."""
+        if pending.future.done():
+            return  # settled this very iteration; _forget is already queued
+        if pending.sends <= self.max_retries:
+            self.retries += 1
+            self._attempt(pending)
+        else:
             self.timeouts += 1
-            raise TransportTimeout(
-                f"no response from {address} after {self.max_retries + 1} attempts"
-            )
-        finally:
-            pending = self._pending.pop(msg_id, None)
-            if pending is not None and not pending.done():
-                pending.cancel()
+            pending.future.set_exception(TransportTimeout(
+                f"no response from {pending.address} after {pending.sends} attempts"
+            ))
+
+    def _forget(self, msg_id: int, future: asyncio.Future[Message]) -> None:
+        """The request's future is done, whichever way: disarm its timer."""
+        pending = self._pending.pop(msg_id, None)
+        if pending is not None:
+            pending.timer.cancel()
 
     # ------------------------------------------------------------------
     # asyncio.DatagramProtocol
@@ -213,9 +250,9 @@ class UdpTransport(asyncio.DatagramProtocol):
         if message.wants_reply:
             self._handle_request(message, addr)
         else:
-            future = self._pending.get(message.msg_id)
-            if future is not None and not future.done():
-                future.set_result(message)
+            pending = self._pending.get(message.msg_id)
+            if pending is not None and not pending.future.done():
+                pending.future.set_result(message)
             # else: a late/duplicate response; the exchange already
             # completed (or timed out) — nothing left to resolve.
 

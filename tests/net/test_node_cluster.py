@@ -14,6 +14,7 @@ from repro.net.cluster import (
     completed_from_summaries,
     run_process_cluster,
 )
+from repro.net.codec import MSG_PULL, MSG_PUSH
 from repro.net.node import NodeDaemon
 from repro.net.peers import PeerDirectory
 from repro.rngs import make_rng, spawn
@@ -132,7 +133,140 @@ class TestNodeDaemon:
         run(scenario())
 
 
+class TestExchange:
+    """The push/pull exchange, socket-free: datagrams handed over by hand."""
+
+    @staticmethod
+    def pair(sanitize: bool) -> tuple[NodeDaemon, NodeDaemon]:
+        rng = make_rng(21)
+        config = Adam2Config(points=6, verification_points=3, rounds_per_instance=20)
+        return (
+            NodeDaemon(0, np.array([10.0, 40.0]), config, spawn(rng), sanitize=sanitize),
+            NodeDaemon(1, 70.0, config, spawn(rng), sanitize=sanitize),
+        )
+
+    @staticmethod
+    def exchange(initiator: NodeDaemon, responder: NodeDaemon, msg_id: int):
+        """One full push -> handle_request -> pull -> merge, over bytes."""
+        codec = initiator.codec
+        push = codec.encode_states(
+            MSG_PUSH, initiator.node_id, msg_id, initiator.adam2.instances
+        )
+        reply = responder.handle_request(codec.decode(push), codec)
+        pull = codec.decode(reply)
+        assert pull.kind == MSG_PULL and pull.msg_id == msg_id
+        initiator._merge(pull.states)
+        return pull
+
+    @staticmethod
+    def mass(daemons, iid) -> tuple[np.ndarray, float, float]:
+        states = [d.adam2.instances[iid] for d in daemons]
+        return (
+            sum(s.h.fractions for s in states),
+            sum(s.weight for s in states),
+            sum(s.count_average for s in states),
+        )
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_pull_carries_pre_merge_state_and_mass_is_conserved(self, sanitize):
+        a, b = self.pair(sanitize)
+        iid = a.adam2.start_instance(
+            neighbour_values=np.array([5.0, 20.0, 45.0, 60.0, 80.0, 95.0]), round_=0
+        )
+        # First exchange: b joins.  Its reply is its state as joined —
+        # before the push was averaged in.
+        joined = self.exchange(a, b, 1).states[iid]
+        assert joined.weight == 0.0 and not joined.initiator
+        assert joined.h.minimum == joined.h.maximum == 70.0
+        np.testing.assert_array_equal(
+            joined.h.fractions, (70.0 <= joined.h.thresholds).astype(float)
+        )
+        for msg_id in range(2, 6):
+            before_b = b.adam2.instances[iid].snapshot()
+            before = self.mass((a, b), iid)
+            pull = self.exchange(a, b, msg_id).states[iid]
+            # the reply is b as it was when the push arrived ...
+            np.testing.assert_array_equal(pull.h.fractions, before_b.h.fractions)
+            np.testing.assert_array_equal(pull.v_fractions, before_b.v_fractions)
+            assert pull.weight == before_b.weight
+            assert pull.count_average == before_b.count_average
+            assert (pull.h.minimum, pull.h.maximum) == (before_b.h.minimum, before_b.h.maximum)
+            assert pull.ttl == before_b.ttl
+            # ... so the two merges together are one symmetric average.
+            after = self.mass((a, b), iid)
+            np.testing.assert_allclose(after[0], before[0], rtol=0, atol=1e-12)
+            assert after[1] == pytest.approx(before[1], abs=1e-15)
+            assert after[2] == pytest.approx(before[2], abs=1e-12)
+            # perturb a so the next round has something to average
+            a.adam2.instances[iid].ttl -= 1
+        final_a, final_b = (d.adam2.instances[iid] for d in (a, b))
+        np.testing.assert_allclose(final_a.h.fractions, final_b.h.fractions)
+        assert final_a.weight == final_b.weight == 0.5
+        assert (final_b.h.minimum, final_b.h.maximum) == (10.0, 70.0)
+
+    def test_reply_piggybacks_unseen_instances_within_the_budget(self):
+        a, b = self.pair(False)
+        seen = a.adam2.start_instance(neighbour_values=np.arange(6.0), round_=0)
+        self.exchange(a, b, 1)
+        unseen = b.adam2.start_instance(neighbour_values=np.arange(6.0) * 3, round_=0)
+        pull = self.exchange(a, b, 2)
+        assert list(pull.states) == [seen, unseen]  # exchanged first, then piggyback
+        assert unseen in a.adam2.instances
+        # a budget with room for one record only keeps the exchanged one
+        one = a.codec.state_size(a.adam2.instances[seen])
+        tight = type(a.codec)(max_datagram=16 + 2 + one + one // 2)
+        push = tight.encode_states(MSG_PUSH, 0, 3, {seen: a.adam2.instances[seen]})
+        reply = tight.decode(b.handle_request(tight.decode(push), tight))
+        assert list(reply.states) == [seen]
+
+
 class TestLocalCluster:
+    def test_push_path_exceptions_reach_the_cluster_counters(self):
+        """A push whose merge raises is counted where operators look."""
+
+        async def scenario():
+            cluster = LocalCluster(
+                np.arange(3, dtype=float), Adam2Config(points=4, rounds_per_instance=6),
+                make_rng(31), gossip_period=0.01, transport_options=FAST,
+            )
+
+            merge = cluster.daemons[0]._merge
+
+            def broken(states, reply=None):
+                if reply is None:  # merging a pull, i.e. the push path
+                    raise RuntimeError("merge blew up")
+                merge(states, reply)
+
+            async with cluster:
+                cluster.daemons[0]._merge = broken
+                await cluster.trigger_instance(0)
+                await cluster.run_rounds(8)
+                await cluster.drain()
+                counters = cluster.counters()
+                assert cluster.daemons[0].rounds == 8  # the timer survived
+            assert counters["push_errors"] == cluster.daemons[0].push_errors > 0
+            assert counters["push_failures"] == 0
+            assert counters["pushes_skipped"] == 0
+
+        run(scenario())
+
+    def test_skipped_pushes_are_aggregated(self):
+        async def scenario():
+            cluster = LocalCluster(
+                np.arange(2, dtype=float), Adam2Config(points=4, rounds_per_instance=12),
+                make_rng(32), gossip_period=0.005, max_inflight=1,
+                transport_options={"request_timeout": 0.05, "max_retries": 1},
+            )
+            async with cluster:
+                await cluster.trigger_instance(0)
+                cluster.crash(1)  # node 0's one push slot now waits out its retries
+                await cluster.daemons[0].run(10)
+                skipped = cluster.daemons[0].pushes_skipped
+                assert skipped > 0
+                assert cluster.counters()["pushes_skipped"] == skipped
+
+        run(scenario())
+
     def test_cluster_runs_instance_to_completion(self):
         async def scenario():
             rng = make_rng(13)

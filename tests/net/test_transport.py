@@ -245,6 +245,155 @@ class TestRetryAndDedup:
         run(scenario())
 
 
+class DropAll:
+    """100 % loss; remembers when each attempt was made."""
+
+    active = True
+
+    def __init__(self):
+        self.sent_at = []
+
+    def send(self, send_fn, datagram: bytes, address) -> None:
+        self.sent_at.append(asyncio.get_running_loop().time())
+
+
+class TestRetryTimerLifecycle:
+    """One future and one re-armed timer per request; nothing outlives it."""
+
+    TIMEOUT = 0.03
+
+    async def settle_and_watch(self, a: UdpTransport, record=None) -> None:
+        """Past every possible retry, nothing more was sent or is pending."""
+        sent = a.messages_sent
+        await asyncio.sleep(self.TIMEOUT * 4)
+        assert a.messages_sent == sent
+        assert a._pending == {}
+        if record is not None:  # and the timer was disarmed, not left to fire
+            assert record.timer.cancelled()
+
+    def test_no_retry_after_the_reply_arrived(self):
+        async def scenario():
+            codec = WireCodec()
+            a, b = await open_pair(
+                codec, handler=EchoHandler([1.0]), request_timeout=self.TIMEOUT
+            )
+            try:
+                msg_id = a.next_msg_id()
+                future = a.request(codec.encode_sample_request(0, msg_id), b.address, msg_id)
+                record = a._pending[msg_id]
+                await future
+                assert a._pending == {} and a.messages_sent == 1
+                assert record.timer.cancelled()
+                await self.settle_and_watch(a)
+                assert a.retries == 0 and a.timeouts == 0
+            finally:
+                a.close()
+                b.close()
+
+        run(scenario())
+
+    def test_no_retry_after_close(self):
+        async def scenario():
+            codec = WireCodec()
+            a, b = await open_pair(
+                codec, handler=SilentHandler(), request_timeout=self.TIMEOUT
+            )
+            msg_id = a.next_msg_id()
+            future = a.request(codec.encode_sample_request(0, msg_id), b.address, msg_id)
+            record = a._pending[msg_id]
+            a.close()
+            assert a._pending == {}
+            await self.settle_and_watch(a, record)
+            assert isinstance(future.exception(), TransportTimeout)
+            assert a.retries == 0 and a.timeouts == 0  # closed, not timed out
+            b.close()
+
+        run(scenario())
+
+    def test_no_retry_after_the_waiter_is_cancelled(self):
+        async def scenario():
+            codec = WireCodec()
+            a, b = await open_pair(
+                codec, handler=SilentHandler(), request_timeout=self.TIMEOUT
+            )
+            try:
+                async def waiter(msg_id):
+                    return await a.request(
+                        codec.encode_sample_request(0, msg_id), b.address, msg_id
+                    )
+
+                task = asyncio.ensure_future(waiter(a.next_msg_id()))
+                await asyncio.sleep(0)
+                assert len(a._pending) == 1 and a.messages_sent == 1
+                (record,) = a._pending.values()
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                await self.settle_and_watch(a, record)
+                # cancelling the bare future (the daemon's close path) too
+                msg_id = a.next_msg_id()
+                future = a.request(codec.encode_sample_request(0, msg_id), b.address, msg_id)
+                record = a._pending[msg_id]
+                future.cancel()
+                await asyncio.sleep(0)
+                assert a.messages_sent == 2
+                await self.settle_and_watch(a, record)
+                assert a.retries == 0 and a.timeouts == 0
+            finally:
+                a.close()
+                b.close()
+
+        run(scenario())
+
+    def test_total_loss_follows_the_backoff_schedule(self):
+        """max_retries + 1 sends, one jitter draw each, then the timeout."""
+
+        async def scenario():
+            codec = WireCodec()
+            fault = DropAll()
+            options = dict(request_timeout=0.02, max_retries=3, backoff=1.5, retry_jitter=0.5)
+            a = UdpTransport(codec, make_rng(41), fault=fault, **options)
+            await a.open()
+            try:
+                msg_id = a.next_msg_id()
+                started = asyncio.get_running_loop().time()
+                with pytest.raises(TransportTimeout, match="after 4 attempts"):
+                    await a.request(
+                        codec.encode_sample_request(0, msg_id), ("127.0.0.1", 9), msg_id
+                    )
+                finished = asyncio.get_running_loop().time()
+                assert a.messages_sent == 4 and len(fault.sent_at) == 4
+                assert a.retries == 3 and a.timeouts == 1
+                assert a._pending == {}
+                reference = make_rng(41)
+                waits = [
+                    0.02 * 1.5**attempt * (1.0 + 0.5 * float(reference.random()))
+                    for attempt in range(4)
+                ]
+                assert a.rng.random() == reference.random()  # exactly 4 draws
+                marks = fault.sent_at + [finished]
+                assert marks[0] - started < 0.01
+                for wait, earlier, later in zip(waits, marks, marks[1:]):
+                    assert wait - 0.002 <= later - earlier < wait + 0.05
+                await self.settle_and_watch(a)
+            finally:
+                a.close()
+
+        run(scenario())
+
+    def test_request_on_a_closed_transport_leaves_nothing_armed(self):
+        async def scenario():
+            codec = WireCodec()
+            a = UdpTransport(codec, make_rng(1))
+            await a.open()
+            a.close()
+            with pytest.raises(NetworkError, match="not open"):
+                a.request(codec.encode_sample_request(0, 1), ("127.0.0.1", 9), 1)
+            assert a._pending == {} and a.messages_sent == 0
+
+        run(scenario())
+
+
 class TestFaultInjector:
     def test_drop_rate_drops_datagrams(self):
         sent = []
