@@ -1,19 +1,23 @@
-"""The three simulation backends behind the :func:`repro.api.run` facade.
+"""The simulation backends behind the :func:`repro.api.run` facade.
 
-Each backend adapts one engine to the common contract: build the system,
-run ``spec.instances`` consecutive aggregation instances, emit
-observability events through the shared :class:`~repro.obs.ObserverHub`,
-and reduce the outcome to a :class:`~repro.api.result.RunResult`.
+Each backend builds one engine and runs ``spec.instances`` consecutive
+aggregation instances on it.  The object-per-node substrates (round,
+async, and the real-network runtime in :mod:`repro.net.backend`) share
+one instance loop, :func:`drive_instances`: a backend contributes how
+an instance starts, how one round happens and three accessors, and the
+driver owns everything an instance *is*: events, probes, the drain
+rule, the reduction to a :class:`~repro.api.result.RunResult`.
 
-Backends declare the option names they support; the facade rejects
-anything else loudly instead of silently dropping it.
+Backends declare the option names they support (the facade rejects
+anything else loudly) and forward only the options the caller gave, so
+every default is declared once, by the engine constructor that owns it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from typing import Any, Awaitable, Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -27,14 +31,21 @@ from repro.api.result import (
 from repro.core.cdf import EmpiricalCDF, EstimatedCDF
 from repro.core.config import Adam2Config
 from repro.core.node import Adam2Node
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.obs.bridges import RateTracker, instance_round_sample
 from repro.obs.events import InstanceCompleted, InstanceStarted
 from repro.obs.observer import ObserverHub
 from repro.rngs import make_rng, spawn
 from repro.workloads.base import AttributeWorkload
 
-__all__ = ["AsyncBackend", "Backend", "FastBackend", "RoundBackend", "RunSpec"]
+__all__ = [
+    "AsyncBackend",
+    "Backend",
+    "FastBackend",
+    "RoundBackend",
+    "RunSpec",
+    "drive_instances",
+]
 
 
 @dataclass
@@ -46,13 +57,21 @@ class RunSpec:
     config: Adam2Config
     instances: int
     seed: int
-    options: dict[str, object] = field(default_factory=dict)
+    options: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
             raise ConfigurationError("need at least 2 nodes")
         if self.instances < 1:
             raise ConfigurationError("need at least one instance")
+
+    def given(self, *keys: str) -> dict[str, Any]:
+        """Those of ``keys`` the caller passed, as keyword arguments.
+
+        What a backend forwards to its engine: an option left out keeps
+        the default its constructor declares.
+        """
+        return {key: self.options[key] for key in keys if key in self.options}
 
 
 class Backend(ABC):
@@ -77,28 +96,187 @@ class Backend(ABC):
             )
 
 
-# ----------------------------------------------------------------------
-# Shared helpers for the object-per-node backends
-# ----------------------------------------------------------------------
-# The reduction logic itself (completed_for / summarise_completed /
-# instance_state_of) lives in repro.api.result, shared with the net
-# backend and the process-cluster harness.
+def _result(
+    name: str,
+    spec: RunSpec,
+    summaries: list[InstanceSummary],
+    estimate: EstimatedCDF | None,
+) -> RunResult:
+    return RunResult(
+        backend=name,
+        n_nodes=spec.n_nodes,
+        seed=spec.seed,
+        config=spec.config,
+        instances=summaries,
+        estimate=estimate,
+    )
 
 
-def _emit_instance_started(
-    hub: ObserverHub, nodes: Iterable[Adam2Node], instance_id: Hashable, index: int
-) -> np.ndarray:
-    """Emit the instance-start event; returns the instance thresholds."""
-    state = instance_state_of(nodes, instance_id)
-    if state is None:  # pragma: no cover - trigger always leaves state behind
-        raise ConfigurationError(f"instance {instance_id!r} has no live state")
-    if hub.probes_enabled:
-        hub.instance_started(InstanceStarted(
-            instance=index,
-            thresholds=tuple(float(t) for t in state.h.thresholds),
-            v_thresholds=tuple(float(t) for t in state.v_thresholds),
-        ))
-    return state.h.thresholds.copy()
+# ----------------------------------------------------------------------
+# The instance loop of the object-per-node substrates
+# ----------------------------------------------------------------------
+
+
+async def drive_instances(
+    name: str,
+    spec: RunSpec,
+    hub: ObserverHub,
+    measure_rng: np.random.Generator,
+    *,
+    trigger: Callable[[], Awaitable[Hashable]],
+    step: Callable[[int, int, Hashable], Awaitable[None]],
+    nodes: Callable[[], Sequence[Adam2Node]],
+    traffic: Callable[[], tuple[int, int]],
+    population: Callable[[], np.ndarray],
+    period_jitter: float | None = None,
+    settle: Callable[[], Awaitable[None]] | None = None,
+) -> RunResult:
+    """Run ``spec.instances`` aggregation instances on an object-per-node system.
+
+    One instance: the initiator picks thresholds, ``rounds_per_instance``
+    push-pull rounds run, stragglers' TTLs drain, every reached peer's
+    terminated estimate is reduced to one :class:`InstanceSummary`.
+    The keyword arguments are what a substrate contributes; the hooks
+    are coroutine functions so the same loop drives a simulator (whose
+    hooks never suspend) and the real-network cluster (whose hooks
+    await sockets and timers).
+
+    Args:
+        trigger: start one instance at some live node; returns its id.
+        step: make one gossip round happen; called with the instance
+            index, the 0-based round index and the instance id.
+        nodes: the live nodes' protocol state (a live node the instance
+            never reached counts at error 1).
+        traffic: cumulative ``(messages, bytes)`` sent so far.
+        population: every live node's attribute values (ground truth).
+        period_jitter: per-node clock jitter fraction; ``None`` for
+            lock-step rounds, where every TTL expires on the last round
+            and there is nothing to drain.
+        settle: wait for work still in flight once the rounds are done.
+    """
+    rounds = spec.config.rounds_per_instance
+    drain = 0
+    if period_jitter is not None:
+        # Per-node clocks drift (jitter) and messages ride real or
+        # modelled latency, so after `rounds` nominal periods some peers
+        # still hold live state; the drain lets them tick their TTLs out.
+        drain = spec.options.get(
+            "drain_periods",
+            max(3, int(np.ceil(rounds * period_jitter)) + 2),
+        )
+    probes = hub if hub.probes_enabled else None
+    tracker = RateTracker()
+
+    summaries: list[InstanceSummary] = []
+    estimate: EstimatedCDF | None = None
+    for index in range(spec.instances):
+        instance_id = await trigger()
+        state = instance_state_of(nodes(), instance_id)
+        if state is None:  # pragma: no cover - trigger always leaves state behind
+            raise ConfigurationError(f"instance {instance_id!r} has no live state")
+        thresholds = state.h.thresholds.copy()
+        if probes is not None:
+            probes.instance_started(InstanceStarted(
+                instance=index,
+                thresholds=tuple(float(t) for t in thresholds),
+                v_thresholds=tuple(float(t) for t in state.v_thresholds),
+            ))
+        start = mark = traffic()
+        with hub.span("instance"):
+            for round_index in range(rounds + drain):
+                await step(index, round_index, instance_id)
+                if probes is not None:
+                    now = traffic()
+                    probes.round_sample(instance_round_sample(
+                        nodes(),
+                        instance_id,
+                        instance_index=index,
+                        round_index=round_index + 1,
+                        messages=now[0] - mark[0],
+                        bytes_=now[1] - mark[1],
+                        tracker=tracker,
+                    ))
+                    mark = now
+                if round_index + 1 >= rounds and instance_state_of(
+                    nodes(), instance_id
+                ) is None:
+                    break
+            if settle is not None:
+                await settle()
+        end = traffic()
+        live = nodes()
+        summary, consensus = summarise_completed(
+            completed_for(live, instance_id),
+            len(live),
+            EmpiricalCDF(population()),
+            thresholds,
+            index,
+            end[0] - start[0],
+            end[1] - start[1],
+            measure_rng,
+            **spec.given("node_sample"),
+        )
+        summaries.append(summary)
+        if consensus is not None:
+            estimate = consensus
+        if probes is not None:
+            probes.instance_completed(InstanceCompleted(
+                instance=index,
+                rounds=rounds,
+                reached=summary.reached,
+                err_max=summary.errors_entire.maximum,
+                err_avg=summary.errors_entire.average,
+                messages=summary.messages,
+                bytes=summary.bytes,
+            ))
+    return _result(name, spec, summaries, estimate)
+
+
+def _run_simulated(
+    name: str,
+    spec: RunSpec,
+    hub: ObserverHub,
+    protocol: Any,
+    engine: Any,
+    measure_rng: np.random.Generator,
+    *,
+    one_round: Callable[[], object],
+    traffic: Callable[[], tuple[int, int]],
+    period_jitter: float | None = None,
+) -> RunResult:
+    """Drive a simulator engine through the instance loop, without an event loop.
+
+    A simulator's trigger and rounds are plain calls, so the driver
+    coroutine never suspends and finishes on its first resume; needing
+    no loop keeps ``run()`` callable from inside a running one.
+    """
+
+    async def trigger() -> Hashable:
+        instance_id: Hashable = protocol.trigger_instance(engine)
+        return instance_id
+
+    async def step(index: int, round_index: int, instance_id: Hashable) -> None:
+        one_round()
+
+    driver = drive_instances(
+        name, spec, hub, measure_rng,
+        trigger=trigger,
+        step=step,
+        nodes=lambda: protocol.adam2_nodes(engine),
+        traffic=traffic,
+        population=engine.attribute_values,
+        period_jitter=period_jitter,
+    )
+    try:
+        driver.send(None)
+    except StopIteration as done:
+        result: RunResult = done.value
+    else:  # pragma: no cover - nothing a simulator awaits can suspend
+        driver.close()
+        raise SimulationError("a simulated round waited on an event loop")
+    result.extras["engine"] = engine
+    result.extras["protocol"] = protocol
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -116,51 +294,36 @@ class FastBackend(Backend):
         "warmup_instances", "system_errors", "dtype", "shards", "shard_mix",
     })
 
-    #: options meaningless under sharding (they need full-state access)
-    _SHARD_INCOMPATIBLE = (
-        "exchange", "churn_rate", "track", "track_every",
-        "confidence_sample", "drift", "warmup_instances", "system_errors",
-    )
+    #: what the shard driver takes; every other option needs full-state access
+    _SHARDABLE = ("shard_mix", "neighbour_sample", "node_sample", "sanitize", "dtype")
 
     def run(self, spec: RunSpec, hub: ObserverHub) -> RunResult:
         from repro.fastsim.adam2 import Adam2Simulation
 
-        opts = dict(spec.options)
-        shards = int(opts.get("shards", 1))  # type: ignore[arg-type]
+        opts = spec.options
+        shards = int(opts.get("shards", 1))
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         if shards > 1:
-            return self._run_sharded(spec, hub, opts, shards)
+            return self._run_sharded(spec, hub, shards)
         sim = Adam2Simulation(
             spec.workload,
             spec.n_nodes,
             spec.config,
             seed=spec.seed,
-            exchange=str(opts.get("exchange", "sequential")),
-            churn_rate=float(opts.get("churn_rate", 0.0)),  # type: ignore[arg-type]
-            neighbour_sample=opts.get("neighbour_sample"),  # type: ignore[arg-type]
-            node_sample=int(opts.get("node_sample", 64)),  # type: ignore[arg-type]
-            sanitize=opts.get("sanitize"),  # type: ignore[arg-type]
-            dtype=str(opts.get("dtype", "float64")),
             obs=hub,
+            **spec.given("exchange", "churn_rate", "neighbour_sample",
+                         "node_sample", "sanitize", "dtype"),
         )
-        for _ in range(int(opts.get("warmup_instances", 0))):  # type: ignore[arg-type]
+        for _ in range(opts.get("warmup_instances", 0)):
             sim.run_instance()
-        track = bool(opts.get("track", False))
-        track_every = int(opts.get("track_every", 1))  # type: ignore[arg-type]
-        confidence_sample = opts.get("confidence_sample")
-        drift = opts.get("drift")
+        per_instance = spec.given("track", "track_every", "confidence_sample", "drift")
 
         summaries: list[InstanceSummary] = []
         estimate: EstimatedCDF | None = None
         for index in range(spec.instances):
             with hub.span("instance"):
-                outcome = sim.run_instance(
-                    track=track,
-                    track_every=track_every,
-                    confidence_sample=confidence_sample,  # type: ignore[arg-type]
-                    drift=drift,
-                )
+                outcome = sim.run_instance(**per_instance)
             reached_mask = outcome.joined & outcome.participants
             reached = int(reached_mask.sum())
             if reached:
@@ -181,31 +344,22 @@ class FastBackend(Backend):
                 raw=outcome,
             ))
 
-        result = RunResult(
-            backend=self.name,
-            n_nodes=spec.n_nodes,
-            seed=spec.seed,
-            config=spec.config,
-            instances=summaries,
-            estimate=estimate,
-        )
-        if bool(opts.get("system_errors", False)):
+        result = _result(self.name, spec, summaries, estimate)
+        if opts.get("system_errors", False):
             result.extras["system_errors"] = sim.system_errors()
         result.extras["simulation"] = sim
         return result
 
-    def _run_sharded(
-        self, spec: RunSpec, hub: ObserverHub, opts: dict[str, object], shards: int
-    ) -> RunResult:
+    def _run_sharded(self, spec: RunSpec, hub: ObserverHub, shards: int) -> RunResult:
         """Route ``shards=N`` runs through the multiprocessing driver.
 
         The shard driver targets the static-population N-scaling regime,
         so options that require per-round full-state access are rejected
         loudly rather than silently ignored.
         """
-        from repro.fastsim.shard import DEFAULT_SHARD_MIX, ShardedAdam2
+        from repro.fastsim.shard import ShardedAdam2
 
-        conflicting = sorted(key for key in self._SHARD_INCOMPATIBLE if key in opts)
+        conflicting = sorted(set(spec.options) - {"shards", *self._SHARDABLE})
         if conflicting:
             raise ConfigurationError(
                 f"option(s) {conflicting} are not supported with shards > 1"
@@ -218,12 +372,8 @@ class FastBackend(Backend):
             spec.config,
             seed=spec.seed,
             shards=shards,
-            shard_mix=float(opts.get("shard_mix", DEFAULT_SHARD_MIX)),  # type: ignore[arg-type]
-            neighbour_sample=opts.get("neighbour_sample"),  # type: ignore[arg-type]
-            node_sample=int(opts.get("node_sample", 64)),  # type: ignore[arg-type]
-            sanitize=opts.get("sanitize"),  # type: ignore[arg-type]
-            dtype=str(opts.get("dtype", "float64")),
             obs=hub,
+            **spec.given(*self._SHARDABLE),
         ) as sim:
             for index in range(spec.instances):
                 with hub.span("instance"):
@@ -242,14 +392,7 @@ class FastBackend(Backend):
                     trace=None,
                     raw=outcome,
                 ))
-        result = RunResult(
-            backend=self.name,
-            n_nodes=spec.n_nodes,
-            seed=spec.seed,
-            config=spec.config,
-            instances=summaries,
-            estimate=estimate,
-        )
+        result = _result(self.name, spec, summaries, estimate)
         result.extras["shards"] = shards
         return result
 
@@ -267,99 +410,26 @@ class RoundBackend(Backend):
         from repro.core.protocol import Adam2Protocol
         from repro.simulation.runner import build_engine
 
-        opts = dict(spec.options)
         rng = make_rng(spec.seed)
         measure_rng = spawn(rng)
         protocol = Adam2Protocol(
-            spec.config,
-            scheduler="manual",
-            neighbour_sample=opts.get("neighbour_sample"),  # type: ignore[arg-type]
+            spec.config, scheduler="manual", **spec.given("neighbour_sample")
         )
         engine = build_engine(
             spec.workload,
             spec.n_nodes,
             [protocol],
             rng,
-            overlay=opts.get("overlay", "mesh"),  # type: ignore[arg-type]
-            degree=int(opts.get("degree", 20)),  # type: ignore[arg-type]
-            churn=opts.get("churn"),
-            loss_rate=float(opts.get("loss_rate", 0.0)),  # type: ignore[arg-type]
-            sanitize=opts.get("sanitize"),  # type: ignore[arg-type]
             obs=hub,
+            **spec.given("overlay", "degree", "churn", "loss_rate", "sanitize"),
         )
-        node_sample = int(opts.get("node_sample", 64))  # type: ignore[arg-type]
-        rounds = spec.config.rounds_per_instance
-        probes = hub if hub.probes_enabled else None
-        tracker = RateTracker()
-
-        summaries: list[InstanceSummary] = []
-        estimate: EstimatedCDF | None = None
-        for index in range(spec.instances):
-            instance_id = protocol.trigger_instance(engine)
-            thresholds = _emit_instance_started(
-                hub, protocol.adam2_nodes(engine), instance_id, index
-            )
-            messages_start, bytes_start = self._traffic(engine)
-            mark_messages, mark_bytes = messages_start, bytes_start
-            with hub.span("instance"):
-                for round_index in range(rounds):
-                    engine.run_round()
-                    if probes is not None:
-                        messages_now, bytes_now = self._traffic(engine)
-                        probes.round_sample(instance_round_sample(
-                            protocol.adam2_nodes(engine),
-                            instance_id,
-                            instance_index=index,
-                            round_index=round_index + 1,
-                            messages=messages_now - mark_messages,
-                            bytes_=bytes_now - mark_bytes,
-                            tracker=tracker,
-                        ))
-                        mark_messages, mark_bytes = messages_now, bytes_now
-            messages_end, bytes_end = self._traffic(engine)
-            summary, consensus = summarise_completed(
-                completed_for(protocol.adam2_nodes(engine), instance_id),
-                engine.node_count,
-                EmpiricalCDF(engine.attribute_values()),
-                thresholds,
-                index,
-                messages_end - messages_start,
-                bytes_end - bytes_start,
-                node_sample,
-                measure_rng,
-            )
-            summaries.append(summary)
-            if consensus is not None:
-                estimate = consensus
-            if probes is not None:
-                probes.instance_completed(InstanceCompleted(
-                    instance=index,
-                    rounds=rounds,
-                    reached=summary.reached,
-                    err_max=summary.errors_entire.maximum,
-                    err_avg=summary.errors_entire.average,
-                    messages=summary.messages,
-                    bytes=summary.bytes,
-                ))
-
-        result = RunResult(
-            backend=self.name,
-            n_nodes=spec.n_nodes,
-            seed=spec.seed,
-            config=spec.config,
-            instances=summaries,
-            estimate=estimate,
-        )
-        result.extras["engine"] = engine
-        result.extras["protocol"] = protocol
-        return result
-
-    @staticmethod
-    def _traffic(engine: object) -> tuple[int, int]:
-        network = engine.network  # type: ignore[attr-defined]
-        return (
-            int(sum(network.messages_sent.values())),
-            int(sum(network.bytes_sent.values())),
+        network = engine.network
+        return _run_simulated(
+            self.name, spec, hub, protocol, engine, measure_rng,
+            one_round=engine.run_round,
+            traffic=lambda: (
+                sum(network.messages_sent.values()), sum(network.bytes_sent.values())
+            ),
         )
 
 
@@ -377,99 +447,23 @@ class AsyncBackend(Backend):
         from repro.asyncsim.engine import AsyncEngine
         from repro.overlay.random_graph import FullMeshOverlay
 
-        opts = dict(spec.options)
         rng = make_rng(spec.seed)
         measure_rng = spawn(rng)
         protocol = AsyncAdam2(
-            spec.config,
-            scheduler="manual",
-            neighbour_sample=opts.get("neighbour_sample"),  # type: ignore[arg-type]
+            spec.config, scheduler="manual", **spec.given("neighbour_sample")
         )
-        period = float(opts.get("gossip_period", 1.0))  # type: ignore[arg-type]
         engine = AsyncEngine(
             FullMeshOverlay([]),
             protocol,
             spawn(rng),
-            gossip_period=period,
-            period_jitter=float(opts.get("period_jitter", 0.05)),  # type: ignore[arg-type]
-            latency=opts.get("latency"),  # type: ignore[arg-type]
-            loss_rate=float(opts.get("loss_rate", 0.0)),  # type: ignore[arg-type]
-            sanitize=opts.get("sanitize"),  # type: ignore[arg-type]
             obs=hub,
+            **spec.given("gossip_period", "period_jitter", "latency",
+                         "loss_rate", "sanitize"),
         )
         engine.populate(spec.workload.sample(spec.n_nodes, spawn(rng)))
-        node_sample = int(opts.get("node_sample", 64))  # type: ignore[arg-type]
-        rounds = spec.config.rounds_per_instance
-        # Per-node clocks drift (jitter) and messages ride a latency
-        # model, so after `rounds` nominal periods some peers still hold
-        # live state; the drain lets the stragglers tick their TTLs out.
-        drain = int(opts.get(
-            "drain_periods",
-            max(3, int(np.ceil(rounds * engine.period_jitter)) + 2),
-        ))  # type: ignore[arg-type]
-        probes = hub if hub.probes_enabled else None
-        tracker = RateTracker()
-
-        summaries: list[InstanceSummary] = []
-        estimate: EstimatedCDF | None = None
-        for index in range(spec.instances):
-            instance_id = protocol.trigger_instance(engine)
-            thresholds = _emit_instance_started(
-                hub, protocol.adam2_nodes(engine), instance_id, index
-            )
-            messages_start, bytes_start = engine.messages_sent, engine.bytes_sent
-            mark_messages, mark_bytes = messages_start, bytes_start
-            with hub.span("instance"):
-                for round_index in range(rounds + drain):
-                    engine.run_for(period)
-                    if probes is not None:
-                        probes.round_sample(instance_round_sample(
-                            protocol.adam2_nodes(engine),
-                            instance_id,
-                            instance_index=index,
-                            round_index=round_index + 1,
-                            messages=engine.messages_sent - mark_messages,
-                            bytes_=engine.bytes_sent - mark_bytes,
-                            tracker=tracker,
-                        ))
-                        mark_messages, mark_bytes = engine.messages_sent, engine.bytes_sent
-                    if round_index + 1 >= rounds and instance_state_of(
-                        protocol.adam2_nodes(engine), instance_id
-                    ) is None:
-                        break
-            summary, consensus = summarise_completed(
-                completed_for(protocol.adam2_nodes(engine), instance_id),
-                len(engine.nodes),
-                EmpiricalCDF(engine.attribute_values()),
-                thresholds,
-                index,
-                engine.messages_sent - messages_start,
-                engine.bytes_sent - bytes_start,
-                node_sample,
-                measure_rng,
-            )
-            summaries.append(summary)
-            if consensus is not None:
-                estimate = consensus
-            if probes is not None:
-                probes.instance_completed(InstanceCompleted(
-                    instance=index,
-                    rounds=rounds,
-                    reached=summary.reached,
-                    err_max=summary.errors_entire.maximum,
-                    err_avg=summary.errors_entire.average,
-                    messages=summary.messages,
-                    bytes=summary.bytes,
-                ))
-
-        result = RunResult(
-            backend=self.name,
-            n_nodes=spec.n_nodes,
-            seed=spec.seed,
-            config=spec.config,
-            instances=summaries,
-            estimate=estimate,
+        return _run_simulated(
+            self.name, spec, hub, protocol, engine, measure_rng,
+            one_round=lambda: engine.run_for(engine.gossip_period),
+            traffic=lambda: (engine.messages_sent, engine.bytes_sent),
+            period_jitter=engine.period_jitter,
         )
-        result.extras["engine"] = engine
-        result.extras["protocol"] = protocol
-        return result

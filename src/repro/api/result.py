@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.cdf import EmpiricalCDF, EstimatedCDF
 from repro.core.config import Adam2Config
+from repro.core.instance import InstanceState
 from repro.core.node import Adam2Node, CompletedInstance
 from repro.errors import SimulationError
 from repro.metrics.convergence import ConvergenceTrace
@@ -121,7 +122,7 @@ def completed_for(nodes: Iterable[Adam2Node], instance_id: Hashable) -> list[Com
     return out
 
 
-def instance_state_of(nodes: Iterable[Adam2Node], instance_id: Hashable) -> object | None:
+def instance_state_of(nodes: Iterable[Adam2Node], instance_id: Hashable) -> InstanceState | None:
     """The first live per-node state found for ``instance_id`` (else None)."""
     for adam2 in nodes:
         state = adam2.instances.get(instance_id)
@@ -138,8 +139,8 @@ def summarise_completed(
     index: int,
     messages: int,
     bytes_: int,
-    node_sample: int,
     rng: np.random.Generator,
+    node_sample: int = 64,
 ) -> tuple[InstanceSummary, EstimatedCDF | None]:
     """Reduce per-node terminated estimates to one :class:`InstanceSummary`.
 

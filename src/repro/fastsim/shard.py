@@ -34,6 +34,7 @@ plus one coordinator-side node sample, never a full-state gather.
 from __future__ import annotations
 
 import multiprocessing
+import queue
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -75,6 +76,8 @@ DEFAULT_SHARD_MIX = 0.125
 CROSS_ROW_CAP = 4096
 
 _JOIN_TIMEOUT = 10.0
+#: how long the coordinator waits for a reply before looking for dead workers
+_REPLY_POLL = 0.5
 
 
 def partition_population(n: int, shards: int) -> list[tuple[int, int]]:
@@ -422,7 +425,7 @@ class ShardedAdam2:
         """One reply of kind ``tag`` from every shard, in shard order."""
         replies: list[tuple[Any, ...] | None] = [None] * self.shards
         for _ in range(self.shards):
-            message = self._results.get(timeout=_JOIN_TIMEOUT * 60)
+            message = self._next_reply()
             if message[0] == "error":
                 raise SimulationError(f"shard {message[1]} failed: {message[2]}")
             if message[0] != tag:  # pragma: no cover - protocol bug
@@ -432,9 +435,27 @@ class ShardedAdam2:
             replies[message[1]] = message
         return [r for r in replies if r is not None]
 
-    def _broadcast(self, command: tuple[Any, ...]) -> None:
-        for commands in self._commands:
-            commands.put(command)
+    def _next_reply(self) -> tuple[Any, ...]:
+        """The next worker message; a worker that died silently fails the run."""
+        while True:
+            # Sampled before the wait: whatever a worker wrote before it
+            # died is readable by now, so a queue that then stays empty
+            # means it went without reporting (SIGKILL, the OOM killer).
+            dead = [
+                (shard_id, process.exitcode)
+                for shard_id, process in enumerate(self._processes)
+                if not process.is_alive()
+            ]
+            try:
+                return self._results.get(timeout=_REPLY_POLL)
+            except queue.Empty:
+                if dead:
+                    self.close()
+                    shard_id, exitcode = dead[0]
+                    raise SimulationError(
+                        f"shard {shard_id} worker died without reporting "
+                        f"(exit code {exitcode})"
+                    ) from None
 
     # -- the instance loop ---------------------------------------------
 

@@ -12,23 +12,12 @@ the basis of the simulator/network parity test.
 from __future__ import annotations
 
 import asyncio
-from typing import Any
+from typing import Any, Hashable
 
-import numpy as np
-
-from repro.api.backends import Backend, RunSpec, _emit_instance_started
-from repro.api.result import (
-    InstanceSummary,
-    RunResult,
-    completed_for,
-    instance_state_of,
-    summarise_completed,
-)
-from repro.core.cdf import EmpiricalCDF, EstimatedCDF
+from repro.api.backends import Backend, RunSpec, drive_instances
+from repro.api.result import RunResult
 from repro.errors import ConfigurationError
 from repro.net.cluster import LocalCluster
-from repro.obs.bridges import RateTracker, instance_round_sample
-from repro.obs.events import InstanceCompleted
 from repro.obs.observer import ObserverHub
 from repro.rngs import make_rng, spawn
 
@@ -47,137 +36,53 @@ class NetBackend(Backend):
     })
 
     def run(self, spec: RunSpec, hub: ObserverHub) -> RunResult:
-        opts = dict(spec.options)
-        crash_nodes = int(opts.get("crash_nodes", 0))  # type: ignore[arg-type]
+        crash_nodes = int(spec.options.get("crash_nodes", 0))
         if not 0 <= crash_nodes <= spec.n_nodes - 2:
             raise ConfigurationError(
                 f"cannot crash {crash_nodes} of {spec.n_nodes} nodes"
             )
+        return asyncio.run(self._run_cluster(spec, hub, crash_nodes))
+
+    async def _run_cluster(
+        self, spec: RunSpec, hub: ObserverHub, crash_nodes: int
+    ) -> RunResult:
         rng = make_rng(spec.seed)
         measure_rng = spawn(rng)
         cluster_rng = spawn(rng)
         # Identical spawn order to the async backend: the third spawn
         # samples the population, so the same seed yields the same
         # attribute values on both substrates (the parity invariant).
-        values = spec.workload.sample(spec.n_nodes, spawn(rng))
-        return asyncio.run(self._run_cluster(
-            spec, hub, opts, values, cluster_rng, measure_rng, crash_nodes
-        ))
-
-    async def _run_cluster(
-        self,
-        spec: RunSpec,
-        hub: ObserverHub,
-        opts: dict[str, object],
-        values: np.ndarray,
-        cluster_rng: np.random.Generator,
-        measure_rng: np.random.Generator,
-        crash_nodes: int,
-    ) -> RunResult:
-        period = float(opts.get("gossip_period", 0.05))  # type: ignore[arg-type]
-        period_jitter = float(opts.get("period_jitter", 0.1))  # type: ignore[arg-type]
-        delay_range = opts.get("delay_range")
         cluster = LocalCluster(
-            values,
+            spec.workload.sample(spec.n_nodes, spawn(rng)),
             spec.config,
             cluster_rng,
-            gossip_period=period,
-            period_jitter=period_jitter,
-            neighbour_sample=opts.get("neighbour_sample"),  # type: ignore[arg-type]
-            sanitize=opts.get("sanitize"),  # type: ignore[arg-type]
-            drop_rate=float(opts.get("drop_rate", 0.0)),  # type: ignore[arg-type]
-            delay_range=tuple(delay_range) if delay_range is not None else None,  # type: ignore[arg-type]
-            reorder_rate=float(opts.get("reorder_rate", 0.0)),  # type: ignore[arg-type]
-            max_datagram=int(opts.get("max_datagram", 8192)),  # type: ignore[arg-type]
-            max_inflight=int(opts.get("max_inflight", 8)),  # type: ignore[arg-type]
-            transport_options=opts.get("transport_options"),  # type: ignore[arg-type]
+            **spec.given("gossip_period", "period_jitter", "neighbour_sample",
+                         "sanitize", "drop_rate", "delay_range", "reorder_rate",
+                         "max_datagram", "max_inflight", "transport_options"),
         )
-        node_sample = int(opts.get("node_sample", 64))  # type: ignore[arg-type]
-        rounds = spec.config.rounds_per_instance
-        # Real per-node timers drift like the async engine's clocks, and
-        # in-flight pulls land after the nominal horizon: drain periods
-        # let stragglers tick their TTLs out before summarising.
-        drain = int(opts.get(
-            "drain_periods",
-            max(3, int(np.ceil(rounds * period_jitter)) + 2),
-        ))  # type: ignore[arg-type]
-        crash_round = int(opts.get("crash_round", max(1, rounds // 2)))  # type: ignore[arg-type]
-        probes = hub if hub.probes_enabled else None
-        tracker = RateTracker()
+        crash_round = spec.options.get(
+            "crash_round", max(1, spec.config.rounds_per_instance // 2)
+        )
 
-        summaries: list[InstanceSummary] = []
-        estimate: EstimatedCDF | None = None
+        async def step(index: int, round_index: int, instance_id: Hashable) -> None:
+            if crash_nodes and index == 0 and round_index == crash_round:
+                self._crash(cluster, crash_nodes, instance_id)
+            with hub.span("round"):
+                await cluster.run_rounds(1)
+
         async with cluster:
-            for index in range(spec.instances):
-                instance_id = await cluster.trigger_instance()
-                thresholds = _emit_instance_started(
-                    hub, cluster.adam2_nodes(), instance_id, index
-                )
-                messages_start, bytes_start = cluster.traffic()
-                mark_messages, mark_bytes = messages_start, bytes_start
-                with hub.span("instance"):
-                    for round_index in range(rounds + drain):
-                        if (
-                            crash_nodes
-                            and index == 0
-                            and round_index == crash_round
-                        ):
-                            self._crash(cluster, crash_nodes, instance_id)
-                        with hub.span("round"):
-                            await cluster.run_rounds(1)
-                        if probes is not None:
-                            messages_now, bytes_now = cluster.traffic()
-                            probes.round_sample(instance_round_sample(
-                                cluster.adam2_nodes(),
-                                instance_id,
-                                instance_index=index,
-                                round_index=round_index + 1,
-                                messages=messages_now - mark_messages,
-                                bytes_=bytes_now - mark_bytes,
-                                tracker=tracker,
-                            ))
-                            mark_messages, mark_bytes = messages_now, bytes_now
-                        if round_index + 1 >= rounds and instance_state_of(
-                            cluster.adam2_nodes(), instance_id
-                        ) is None:
-                            break
-                    await cluster.drain()
-                messages_end, bytes_end = cluster.traffic()
-                summary, consensus = summarise_completed(
-                    completed_for(cluster.adam2_nodes(), instance_id),
-                    len(cluster.live_daemons()),
-                    EmpiricalCDF(cluster.attribute_values()),
-                    thresholds,
-                    index,
-                    messages_end - messages_start,
-                    bytes_end - bytes_start,
-                    node_sample,
-                    measure_rng,
-                )
-                summaries.append(summary)
-                if consensus is not None:
-                    estimate = consensus
-                if probes is not None:
-                    probes.instance_completed(InstanceCompleted(
-                        instance=index,
-                        rounds=rounds,
-                        reached=summary.reached,
-                        err_max=summary.errors_entire.maximum,
-                        err_avg=summary.errors_entire.average,
-                        messages=summary.messages,
-                        bytes=summary.bytes,
-                    ))
-            counters = cluster.counters()
-
-        result = RunResult(
-            backend=self.name,
-            n_nodes=spec.n_nodes,
-            seed=spec.seed,
-            config=spec.config,
-            instances=summaries,
-            estimate=estimate,
-        )
-        result.extras["net_counters"] = counters
+            # In-flight pulls land after the last timer fire: settle first.
+            result = await drive_instances(
+                self.name, spec, hub, measure_rng,
+                trigger=cluster.trigger_instance,
+                step=step,
+                nodes=cluster.adam2_nodes,
+                traffic=cluster.traffic,
+                population=cluster.attribute_values,
+                period_jitter=cluster.period_jitter,
+                settle=cluster.drain,
+            )
+            result.extras["net_counters"] = cluster.counters()
         return result
 
     @staticmethod

@@ -83,6 +83,7 @@ class LocalCluster:
             raise NetworkError("a cluster needs at least 2 nodes")
         self.rng = rng
         self.host = host
+        self.period_jitter = period_jitter
         self.codec = WireCodec(max_datagram)
         self.daemons: list[NodeDaemon] = []
         faulty = drop_rate > 0.0 or reorder_rate > 0.0 or delay_range is not None

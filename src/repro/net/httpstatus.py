@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 from typing import TYPE_CHECKING
 from urllib.parse import parse_qs, urlsplit
 
@@ -36,7 +35,7 @@ from repro.errors import NetworkError, ServiceError
 if TYPE_CHECKING:  # runtime import stays lazy (repro.service imports repro.api)
     from repro.service.handle import ServiceHandle
 
-__all__ = ["StatusServer", "StatusServerThread"]
+__all__ = ["StatusServer"]
 
 _MAX_REQUEST_LINE = 8 * 1024
 _MAX_HEADER_BYTES = 32 * 1024
@@ -69,10 +68,9 @@ class StatusServer:
     """Serves one :class:`ServiceHandle`'s status over HTTP (read-only).
 
     One asyncio loop, ephemeral port with ``port=0`` (readable as
-    :attr:`port` after :meth:`start`).  Use as an async context manager
-    next to a :class:`~repro.net.service_endpoint.ServiceEndpoint`, or
-    through :class:`StatusServerThread` when the serving loop lives
-    elsewhere (the worker-pool path).
+    :attr:`port` after :meth:`start`).  Use as an async context manager,
+    as :func:`~repro.net.service_endpoint.serve_blocking` does on its
+    one loop, whichever side answers the queries.
     """
 
     def __init__(
@@ -208,88 +206,3 @@ class StatusServer:
             "meta": snapshot.meta(),
             "polyline": {"xs": xs.tolist(), "ys": ys.tolist()},
         }
-
-
-class StatusServerThread:
-    """Runs a :class:`StatusServer` on a dedicated thread + event loop.
-
-    For serving paths whose main thread is busy elsewhere (the
-    worker-pool branch of ``serve_blocking`` sleeps between scheduler
-    cycles): :meth:`start` blocks until the port is bound, :meth:`stop`
-    until the loop is down.
-    """
-
-    def __init__(
-        self,
-        handle: "ServiceHandle",
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self._server = StatusServer(handle, host=host, port=port)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._stopped: asyncio.Event | None = None
-
-    @property
-    def port(self) -> int | None:
-        return self._server.port
-
-    @property
-    def host(self) -> str:
-        return self._server.host
-
-    def start(self, timeout: float = 10.0) -> None:
-        if self._thread is not None:
-            raise NetworkError("status server thread already started")
-        started = threading.Event()
-        failure: list[BaseException] = []
-
-        async def _run() -> None:
-            self._stopped = asyncio.Event()
-            try:
-                await self._server.start()
-            except BaseException as exc:  # noqa: BLE001 - reported to starter
-                failure.append(exc)
-                started.set()
-                return
-            started.set()
-            await self._stopped.wait()
-            await self._server.stop()
-
-        def _main() -> None:
-            loop = asyncio.new_event_loop()
-            self._loop = loop
-            try:
-                loop.run_until_complete(_run())
-            finally:
-                loop.close()
-
-        thread = threading.Thread(target=_main, name="adam2-status", daemon=True)
-        thread.start()
-        self._thread = thread
-        if not started.wait(timeout):
-            raise NetworkError("status server thread never reported ready")
-        if failure:
-            raise NetworkError(f"status server failed to start: {failure[0]}")
-
-    def stop(self, timeout: float = 10.0) -> None:
-        thread = self._thread
-        loop = self._loop
-        stopped = self._stopped
-        if thread is None or loop is None or stopped is None:
-            return
-        try:
-            loop.call_soon_threadsafe(stopped.set)
-        except RuntimeError:  # pragma: no cover - loop already closed
-            pass
-        thread.join(timeout)
-        self._thread = None
-        self._loop = None
-        self._stopped = None
-
-    def __enter__(self) -> "StatusServerThread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

@@ -41,11 +41,13 @@ the ADM008 fence keeps :mod:`repro.service` itself host-independent.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.errors import CodecError, NetworkError, ServiceError
 from repro.net.frames import HEADER, KIND_BATCH_REQUEST, KIND_REQUEST, FrameCodec
+from repro.net.httpstatus import StatusServer
 from repro.service.protocol import (
     BatchRequest,
     BatchResponse,
@@ -527,101 +529,63 @@ def serve_blocking(
 ) -> None:
     """Serve a handle over TCP, refreshing the estimate in the background.
 
-    With ``workers <= 1`` a single-loop :class:`ServiceEndpoint` serves
-    from the handle's own engine; the scheduler cycle runs in a worker
-    thread between refresh pauses — it must not share the endpoint's
-    event loop, because the ``net`` backend owns its own ``asyncio.run``
-    per cycle.  With ``workers > 1`` a :class:`~repro.net.service_worker.
-    ServiceWorkerPool` serves from worker processes while the scheduler
-    refreshes in this thread; every published snapshot reaches the
-    workers through the store's snapshot feed — unless the platform
-    lacks ``SO_REUSEPORT``, in which case the single loop serves (and
-    says so through ``announce``).  With ``max_cycles`` the
-    loop exits after that many refreshes (smoke tests); otherwise it
-    serves until interrupted.
+    One event loop for every ``workers`` value.  It hosts the optional
+    read-only HTTP status surface (:mod:`repro.net.httpstatus`, on
+    ``http_host``, default ``host``) and paces the scheduler: a refresh
+    pause, then one cycle in a worker thread — never on the loop itself,
+    because the ``net`` backend starts an event loop of its own per cycle.
+    Queries are answered by a :class:`ServiceEndpoint` on the same loop,
+    or, with ``workers > 1``, by a :class:`~repro.net.service_worker.
+    ServiceWorkerPool` whose processes follow the store's snapshot feed;
+    where the platform lacks ``SO_REUSEPORT`` the single endpoint serves
+    instead (and says so through ``announce``).
 
-    ``http_port`` additionally exposes the read-only HTTP status surface
-    (:mod:`repro.net.httpstatus`) on ``http_host`` (default: ``host``):
-    on the serving loop itself in the single-loop path, on a dedicated
-    thread in the worker-pool path.  When the handle is durable
-    (:attr:`ServiceHandle.persistence`), the log is sealed on exit.
+    With ``max_cycles`` the call returns after that many refreshes
+    (smoke tests); otherwise it serves until interrupted.  Every exit
+    stops the pool and closes the handle, which seals a durable
+    handle's snapshot log (:attr:`ServiceHandle.persistence`).
     """
-    status_host = http_host if http_host is not None else host
-    if workers > 1:
-        # Late import: service_worker imports this module's connection
-        # machinery.
-        from repro.net.service_worker import ServiceWorkerPool, reuseport_available
+    # Late import: service_worker imports this module's connection machinery.
+    from repro.net.service_worker import ServiceWorkerPool, reuseport_available
 
-        if not reuseport_available():
-            if announce is not None:
-                announce(
-                    f"SO_REUSEPORT unavailable: serving from one loop, "
-                    f"not {workers} workers"
+    def say(message: str) -> None:
+        if announce is not None:
+            announce(message)
+
+    async def _serve(pool: ServiceWorkerPool | None) -> None:
+        loop = asyncio.get_running_loop()
+        async with contextlib.AsyncExitStack() as stack:
+            if pool is None:
+                endpoint = await stack.enter_async_context(
+                    ServiceEndpoint(handle, host=host, port=port)
                 )
-            workers = 1
-    if workers > 1:
-        import time
-
-        from repro.net.httpstatus import StatusServerThread
-
-        pool = ServiceWorkerPool(
-            handle.store, workers=workers, host=host, port=port
-        )
-        pool.start()
-        status: StatusServerThread | None = None
-        try:
+                say(f"serving on {endpoint.host}:{endpoint.port}")
+            else:
+                say(f"serving on {host}:{pool.port} ({pool.workers} reuseport workers)")
             if http_port is not None:
-                status = StatusServerThread(
-                    handle, host=status_host, port=http_port
-                )
-                status.start()
-            if announce is not None:
-                announce(
-                    f"serving on {host}:{pool.port} "
-                    f"({pool.workers} reuseport workers)"
-                )
-                if status is not None:
-                    announce(
-                        f"status on http://{status.host}:{status.port}/status"
-                    )
+                status = await stack.enter_async_context(StatusServer(
+                    handle, host=http_host if http_host is not None else host,
+                    port=http_port,
+                ))
+                say(f"status on http://{status.host}:{status.port}/status")
             cycles = 0
             while max_cycles is None or cycles < max_cycles:
-                time.sleep(refresh_every)
-                handle.scheduler.run_cycle()
+                await asyncio.sleep(refresh_every)
+                await loop.run_in_executor(None, handle.scheduler.run_cycle)
                 cycles += 1
-        finally:
-            if status is not None:
-                status.stop()
-            pool.stop()
-            handle.close()
-        return
 
-    async def _serve() -> None:
-        from repro.net.httpstatus import StatusServer
-
-        loop = asyncio.get_running_loop()
-        async with ServiceEndpoint(handle, host=host, port=port) as endpoint:
-            status: StatusServer | None = None
-            if http_port is not None:
-                status = StatusServer(handle, host=status_host, port=http_port)
-                await status.start()
-            try:
-                if announce is not None:
-                    announce(f"serving on {endpoint.host}:{endpoint.port}")
-                    if status is not None:
-                        announce(
-                            f"status on http://{status.host}:{status.port}/status"
-                        )
-                cycles = 0
-                while max_cycles is None or cycles < max_cycles:
-                    await asyncio.sleep(refresh_every)
-                    await loop.run_in_executor(None, handle.scheduler.run_cycle)
-                    cycles += 1
-            finally:
-                if status is not None:
-                    await status.stop()
-
+    pool: ServiceWorkerPool | None = None
     try:
-        asyncio.run(_serve())
+        if workers > 1:
+            if reuseport_available():
+                # Workers are forked, so they start before the loop and
+                # its executor threads exist.
+                pool = ServiceWorkerPool(handle.store, workers=workers, host=host, port=port)
+                pool.start()
+            else:
+                say(f"SO_REUSEPORT unavailable: serving from one loop, not {workers} workers")
+        asyncio.run(_serve(pool))
     finally:
+        if pool is not None:
+            pool.stop()
         handle.close()

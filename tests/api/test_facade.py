@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.api import get_backend, list_backends, run
+from repro.api.result import summarise_completed
+from repro.asyncsim.engine import AsyncEngine
 from repro.core.config import Adam2Config
 from repro.errors import ConfigurationError, SimulationError
 from repro.rngs import make_rng
+from repro.simulation.runner import build_engine
 from repro.workloads import lognormal_workload
 
 WORKLOAD = lognormal_workload()
@@ -92,6 +97,39 @@ class TestRunFacade:
     def test_tiny_population_rejected(self):
         with pytest.raises(ConfigurationError):
             run(CONFIG, WORKLOAD, backend="fast", n_nodes=1)
+
+
+class TestDefaultsDeclaredOnce:
+    """Leaving an option out is passing the default its constructor declares."""
+
+    @pytest.mark.parametrize("backend, owners, numeric", [
+        ("round", (build_engine, summarise_completed),
+         {"degree", "loss_rate", "node_sample"}),
+        ("async", (AsyncEngine, summarise_completed),
+         {"gossip_period", "period_jitter", "loss_rate", "node_sample"}),
+    ])
+    def test_spelling_out_the_declared_defaults_changes_nothing(
+        self, backend, owners, numeric
+    ):
+        explicit = {
+            name: parameter.default
+            for owner in owners
+            for name, parameter in inspect.signature(owner).parameters.items()
+            if name in numeric
+        }
+        assert set(explicit) == numeric <= get_backend(backend).supported_options
+        assert all(isinstance(value, (int, float)) for value in explicit.values())
+        plain, spelled = (
+            run(CONFIG, WORKLOAD, backend=backend, n_nodes=48, instances=2,
+                seed=11, **options)
+            for options in ({}, explicit)
+        )
+        for ours, theirs in zip(plain.instances, spelled.instances, strict=True):
+            np.testing.assert_array_equal(ours.thresholds, theirs.thresholds)
+            np.testing.assert_array_equal(ours.fractions, theirs.fractions)
+            assert ours.errors_entire == theirs.errors_entire
+            assert ours.errors_points == theirs.errors_points
+            assert (ours.messages, ours.bytes) == (theirs.messages, theirs.bytes)
 
 
 class TestShardedFastBackend:

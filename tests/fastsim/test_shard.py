@@ -1,9 +1,13 @@
 """Tests for the multiprocessing shard driver."""
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.core.config import Adam2Config
 from repro.fastsim.adam2 import Adam2Simulation
 from repro.fastsim.shard import (
@@ -150,3 +154,18 @@ class TestResultShape:
             assert sim._processes == processes
             assert all(p.is_alive() for p in processes)
         assert not any(p.is_alive() for p in processes)
+
+
+class TestDeadWorker:
+    def test_killed_worker_fails_the_next_instance_promptly(self):
+        with make_sharded(n=1000, shards=2) as sim:
+            sim.run_instance()
+            processes = list(sim._processes)
+            os.kill(processes[1].pid, signal.SIGKILL)
+            started = time.monotonic()
+            with pytest.raises(SimulationError, match=r"shard 1 .*exit code -9"):
+                sim.run_instance()
+            assert time.monotonic() - started < 5.0
+            # The surviving workers were stopped with the dead one.
+            assert not any(p.is_alive() for p in processes)
+            assert sim._processes == []

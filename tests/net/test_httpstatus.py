@@ -1,4 +1,4 @@
-"""The read-only HTTP status surface: routes, errors, thread wrapper."""
+"""The read-only HTTP status surface: routes, errors, lifecycle."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.config import Adam2Config
 from repro.errors import NetworkError
-from repro.net.httpstatus import StatusServer, StatusServerThread
+from repro.net.httpstatus import StatusServer
 from repro.obs import MemorySink, ObserverHub
 from repro.service import build_service
 from repro.workloads.synthetic import uniform_workload
@@ -209,23 +209,6 @@ class TestLifecycle:
             return bound
 
         assert run(scenario()) > 0
-
-
-class TestThreadWrapper:
-    def test_serves_from_a_foreign_thread(self, handle):
-        with StatusServerThread(handle) as thread:
-            status, body = run(fetch(thread.host, thread.port, "/status"))
-        assert status == 200
-        assert body["backend"] == "fast"
-        assert thread.port is None  # stopped on exit
-
-    def test_double_start_is_refused(self, handle):
-        with StatusServerThread(handle) as thread:
-            with pytest.raises(NetworkError, match="already started"):
-                thread.start()
-
-    def test_stop_without_start_is_a_noop(self, handle):
-        StatusServerThread(handle).stop()
 
 
 class TestDurableStatus:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import threading
+import urllib.request
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.errors import NetworkError
 from repro.net import service_worker
 from repro.net.service_endpoint import ServiceClient, serve_blocking
 from repro.net.service_worker import ServiceWorkerPool, reuseport_available
+from repro.obs import MemorySink, ObserverHub
 from repro.service import build_service
 from repro.service.protocol import QueryRequest
 from repro.workloads.synthetic import uniform_workload
@@ -207,6 +210,81 @@ class TestPooledMeasurement:
         assert response["ok"] is False and response["error"] == "bad_request"
         assert "too long" in response["message"]
         assert rest == b""
+
+
+@needs_reuseport
+class TestServeBlockingWithWorkers:
+    """``serve_blocking(workers=2, http_port=...)``: one call, one loop."""
+
+    def test_pool_status_surface_and_scheduler_together(self):
+        hub = ObserverHub([MemorySink()])
+        handle = make_handle(hub=hub)
+        baseline = handle.store.latest().version
+        announced: list[str] = []
+        ready = threading.Event()
+
+        def announce(message):
+            announced.append(message)
+            if message.startswith("status on "):
+                ready.set()
+
+        server = threading.Thread(target=serve_blocking, args=(handle,), kwargs=dict(
+            port=0, http_port=0, workers=2, max_cycles=4, refresh_every=0.4,
+            announce=announce,
+        ))
+        server.start()
+        try:
+            assert ready.wait(15.0)
+            serving, status_line = announced
+            assert serving.endswith("(2 reuseport workers)")
+            port = int(serving.split()[2].rsplit(":", 1)[1])
+            url = status_line.split()[2]
+            assert url.startswith("http://127.0.0.1:") and url.endswith("/status")
+            with urllib.request.urlopen(url, timeout=5.0) as reply:
+                over_http = json.load(reply)
+
+            async def scenario():
+                # A fresh connection per poll: the kernel balances
+                # connections, and the snapshot feed is asynchronous.
+                workers, newest = set(), baseline
+                for _ in range(200):
+                    async with ServiceClient("127.0.0.1", port) as client:
+                        status = await client.status()
+                    workers.add(status["worker"])
+                    newest = max(newest, *status["versions"])
+                    if workers == {0, 1} and newest > baseline:
+                        break
+                    await asyncio.sleep(0.02)
+                return workers, newest
+
+            workers, newest = run(scenario())
+        finally:
+            server.join(30.0)
+        assert not server.is_alive()
+        assert workers == {0, 1}
+        # A scheduler cycle of this call published it; a worker served it.
+        assert baseline < newest <= handle.store.latest().version
+        # /status came from the parent: the handle's own view, counted on
+        # the handle's own hub.
+        assert over_http["backend"] == "fast" and "worker" not in over_http
+        assert hub.metrics.counter("http_requests_total").snapshot() == 1
+        assert not [
+            child for child in multiprocessing.active_children()
+            if child.name.startswith("adam2-serve-")
+        ]
+
+    def test_failed_pool_start_still_closes_the_handle(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise NetworkError("worker 1 failed to start: address in use")
+
+        monkeypatch.setattr(ServiceWorkerPool, "start", refuse)
+        handle = make_handle(store_dir=tmp_path)
+        feed = handle.persistence._on_publish
+        assert feed in handle.store._subscribers
+        with pytest.raises(NetworkError, match="failed to start"):
+            serve_blocking(handle, port=0, workers=2, max_cycles=1, announce=None)
+        # Closed: detached from the feed, open segment sealed.
+        assert feed not in handle.store._subscribers
 
 
 class TestWithoutReuseport:
