@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from typing import Any, Hashable
 
-import numpy as np
-
 from repro.rngs import spawn
 from repro.core.cdf import EstimatedCDF
-from repro.core.config import Adam2Config
+from repro.core.config import Adam2Config, bootstrap_sample_size
 from repro.core.instance import InstanceState
 from repro.core.node import Adam2Node
+from repro.core.protocol import bootstrap_pool
 from repro.asyncsim.engine import AsyncEngine, AsyncProtocol
 from repro.simulation.node_base import SimNode
 
@@ -47,7 +46,7 @@ class AsyncAdam2(AsyncProtocol):
     def __init__(self, config: Adam2Config, scheduler: str = "manual", neighbour_sample: int | None = None):
         self.config = config
         self.scheduler = scheduler
-        self.neighbour_sample = neighbour_sample or max(config.points, 20)
+        self.neighbour_sample = bootstrap_sample_size(config, neighbour_sample)
 
     # ------------------------------------------------------------------
     # AsyncProtocol interface
@@ -63,22 +62,16 @@ class AsyncAdam2(AsyncProtocol):
             self._start_at(node, engine)
         if not adam2.instances:
             return None
-        return self._snapshots(adam2)
+        return {iid: state.snapshot() for iid, state in adam2.instances.items()}
 
     def on_request(self, node: SimNode, payload: Any, engine: AsyncEngine) -> Any | None:
         adam2: Adam2Node = node.state[self.name]
         response: dict = {}
-        for iid, remote in payload.items():
-            local = adam2.instances.get(iid)
-            if local is None:
-                if remote.ttl <= 1 or iid in adam2.finished_ids:
-                    continue  # nearly expired or already terminated here
-                local = adam2.join_instance(remote)
-            # Snapshot after joining but before merging: the initiator
-            # merging this response completes a mass-conserving symmetric
-            # exchange (see DESIGN.md on the literal Fig. 1 join rule).
+
+        def keep(iid: Hashable, local: InstanceState) -> None:
             response[iid] = local.snapshot()
-            local.merge_from(remote)
+
+        adam2.receive(payload, before_merge=keep)
         # Also piggyback instances the sender has not seen yet, so
         # instances spread on responses as well as requests.
         for iid, state in adam2.instances.items():
@@ -87,8 +80,7 @@ class AsyncAdam2(AsyncProtocol):
         return response or None
 
     def on_response(self, node: SimNode, payload: Any, engine: AsyncEngine) -> None:
-        adam2: Adam2Node = node.state[self.name]
-        self._merge_payload(adam2, payload)
+        node.state[self.name].receive(payload)
 
     def payload_bytes(self, payload: Any) -> int:
         return max(len(payload), 1) * self.config.message_bytes()
@@ -105,33 +97,9 @@ class AsyncAdam2(AsyncProtocol):
 
     def _start_at(self, node: SimNode, engine: AsyncEngine) -> Hashable:
         adam2: Adam2Node = node.state[self.name]
-        neighbour_ids = [i for i in engine.overlay.neighbours(node.node_id) if i in engine.nodes]
-        if neighbour_ids:
-            if len(neighbour_ids) > self.neighbour_sample:
-                picks = node.rng.choice(len(neighbour_ids), size=self.neighbour_sample, replace=False)
-                neighbour_ids = [neighbour_ids[int(i)] for i in picks]
-            neighbour_values = np.concatenate([engine.nodes[i].values for i in neighbour_ids])
-        else:
-            neighbour_values = node.values
-        return adam2.start_instance(neighbour_values=neighbour_values)
-
-    # ------------------------------------------------------------------
-    # Payload handling
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _snapshots(adam2: Adam2Node) -> dict:
-        return {iid: state.snapshot() for iid, state in adam2.instances.items()}
-
-    @staticmethod
-    def _merge_payload(adam2: Adam2Node, payload: dict) -> None:
-        for iid, remote in payload.items():
-            local = adam2.instances.get(iid)
-            if local is None:
-                if remote.ttl <= 1 or iid in adam2.finished_ids:
-                    continue  # nearly expired or already terminated here
-                local = adam2.join_instance(remote)
-            local.merge_from(remote)
+        return adam2.start_instance(
+            neighbour_values=bootstrap_pool(node, engine, self.neighbour_sample)
+        )
 
     # ------------------------------------------------------------------
     # Inspection

@@ -17,8 +17,6 @@ from repro.core.confidence import (
 )
 from repro.core.instance import InstanceState
 from repro.core.interpolation import InterpolationSet, interpolate_matrix
-from repro.core.merge import merge_average, merge_extremes
-from repro.core.multivalue import MultiValueState, multivalue_fractions
 from repro.core.node import Adam2Node
 from repro.core.protocol import Adam2Protocol
 from repro.core.selection import (
@@ -44,10 +42,6 @@ __all__ = [
     "InstanceState",
     "InterpolationSet",
     "interpolate_matrix",
-    "merge_average",
-    "merge_extremes",
-    "MultiValueState",
-    "multivalue_fractions",
     "Adam2Node",
     "Adam2Protocol",
     "SelectionStrategy",

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 from repro.core.conservation import register_non_conserving
 
-__all__ = ["Adam2Config", "LITERAL_JOIN_BIAS"]
+__all__ = ["Adam2Config", "LITERAL_JOIN_BIAS", "bootstrap_sample_size"]
 
 _JOIN_MODES = ("symmetric", "literal")
 
@@ -104,3 +104,10 @@ class Adam2Config:
         """
         pairs = self.points + self.verification_points + 1  # +1: extremes
         return self.header_bytes + self.point_bytes * pairs + 8  # +8: weight
+
+
+def bootstrap_sample_size(config: Adam2Config, requested: int | None = None) -> int:
+    """Neighbour attribute values an initiator collects for the
+    neighbour-based bootstrap: the caller's choice, else enough to place
+    every interpolation point (at least 20)."""
+    return requested or max(config.points, 20)

@@ -7,7 +7,7 @@ adapter lives in :mod:`repro.core.protocol`.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
@@ -157,6 +157,32 @@ class Adam2Node:
         )
         self.instances[template.instance_id] = state
         return state
+
+    def receive(
+        self,
+        states: Mapping[Hashable, InstanceState],
+        round_: int = 0,
+        before_merge: Callable[[Hashable, InstanceState], None] | None = None,
+    ) -> None:
+        """The passive half of a push–pull exchange, per delivered message.
+
+        For every remote state: an instance unknown here is joined unless
+        it is about to expire or was already terminated here (a stale
+        in-flight message must not resurrect it); ``before_merge`` sees
+        the local state after the join but before the merge — replying
+        with exactly that state is what lets the sender's own merge
+        complete a mass-conserving symmetric exchange; then MERGE.
+        """
+        instances = self.instances
+        for iid, remote in states.items():
+            local = instances.get(iid)
+            if local is None:
+                if remote.ttl <= 1 or iid in self.finished_ids:
+                    continue
+                local = self.join_instance(remote, round_=round_)
+            if before_merge is not None:
+                before_merge(iid, local)
+            local.merge_from(remote)
 
     def end_of_round(self, round_: int = 0) -> list[CompletedInstance]:
         """Decrement TTLs; finalise and drop any expired instances."""

@@ -9,18 +9,37 @@ schedules new aggregation instances either probabilistically (the paper's
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.core.config import Adam2Config
+from repro.core.config import Adam2Config, bootstrap_sample_size
 from repro.core.node import Adam2Node, gossip_exchange
 from repro.rngs import spawn
 from repro.simulation.engine import Engine, Protocol
 from repro.simulation.node_base import SimNode
 
-__all__ = ["Adam2Protocol"]
+__all__ = ["Adam2Protocol", "bootstrap_pool"]
 
 _SCHEDULERS = ("probabilistic", "manual")
+
+
+def bootstrap_pool(node: SimNode, engine: Any, sample: int) -> np.ndarray:
+    """Attribute values an initiator sees for the neighbour-based bootstrap.
+
+    The values of up to ``sample`` live overlay neighbours (a uniform
+    draw from the node's own generator when it has more), or the node's
+    own values when it has none.  ``engine`` is either simulated engine:
+    both expose ``overlay`` and the ``nodes`` table.
+    """
+    neighbour_ids = [i for i in engine.overlay.neighbours(node.node_id) if i in engine.nodes]
+    if not neighbour_ids:
+        return node.values
+    if len(neighbour_ids) > sample:
+        picks = node.rng.choice(len(neighbour_ids), size=sample, replace=False)
+        neighbour_ids = [neighbour_ids[int(i)] for i in picks]
+    return np.concatenate([engine.nodes[i].values for i in neighbour_ids])
 
 
 class Adam2Protocol(Protocol):
@@ -43,7 +62,7 @@ class Adam2Protocol(Protocol):
             raise SimulationError(f"unknown scheduler {scheduler!r}; expected one of {_SCHEDULERS}")
         self.config = config
         self.scheduler = scheduler
-        self.neighbour_sample = neighbour_sample or max(config.points, 20)
+        self.neighbour_sample = bootstrap_sample_size(config, neighbour_sample)
         #: instance ids started so far (for experiments/tests)
         self.started_instances: list = []
 
@@ -98,20 +117,10 @@ class Adam2Protocol(Protocol):
     def _start_at(self, node: SimNode, engine: Engine):
         adam2: Adam2Node = node.state[self.name]
         adam2.values = node.values
-        neighbour_values = self._neighbour_values(node, engine)
+        neighbour_values = bootstrap_pool(node, engine, self.neighbour_sample)
         instance_id = adam2.start_instance(neighbour_values=neighbour_values, round_=engine.round)
         self.started_instances.append(instance_id)
         return instance_id
-
-    def _neighbour_values(self, node: SimNode, engine: Engine) -> np.ndarray:
-        neighbour_ids = [i for i in engine.overlay.neighbours(node.node_id) if i in engine.nodes]
-        if not neighbour_ids:
-            return node.values
-        if len(neighbour_ids) > self.neighbour_sample:
-            idx = node.rng.choice(len(neighbour_ids), size=self.neighbour_sample, replace=False)
-            neighbour_ids = [neighbour_ids[int(i)] for i in idx]
-        values = [engine.nodes[i].values for i in neighbour_ids]
-        return np.concatenate(values)
 
     # ------------------------------------------------------------------
     # Inspection helpers for experiments/tests

@@ -17,7 +17,7 @@ from repro.fastsim.churn import FastChurn
 from repro.fastsim.equidepth import EquiDepthSimulation, EquiDepthPhaseResult
 from repro.fastsim.exchange import ExchangeBuffers, matching_round, sequential_round
 from repro.fastsim.shard import ShardedAdam2, ShardInstanceResult, ShardRunResult
-from repro.fastsim.state import BatchState, InstanceArrays, resolve_dtype
+from repro.fastsim.state import BatchState, resolve_dtype
 
 __all__ = [
     "Adam2Simulation",
@@ -33,6 +33,5 @@ __all__ = [
     "ShardRunResult",
     "sequential_round",
     "matching_round",
-    "InstanceArrays",
     "resolve_dtype",
 ]

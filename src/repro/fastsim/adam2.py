@@ -38,7 +38,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.rngs import make_rng, spawn
 from repro.types import ErrorPair
 from repro.core.cdf import EmpiricalCDF, EstimatedCDF
-from repro.core.config import Adam2Config
+from repro.core.config import Adam2Config, bootstrap_sample_size
 from repro.core.confidence import estimate_errors_matrix, select_verification_points
 from repro.core.interpolation import interpolate_matrix
 from repro.core.selection import get_selection
@@ -307,7 +307,7 @@ class Adam2Simulation:
         self.churn = (
             FastChurn(churn_rate, workload, spawn(self.rng)) if churn_rate > 0 else None
         )
-        self.neighbour_sample = neighbour_sample or max(config.points, 20)
+        self.neighbour_sample = bootstrap_sample_size(config, neighbour_sample)
         self.node_sample = node_sample
         from repro.lint.sanitizer import FastsimSanitizer, sanitize_enabled
 

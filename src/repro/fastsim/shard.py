@@ -44,7 +44,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.rngs import derive, make_rng, spawn
 from repro.types import ErrorPair
 from repro.core.cdf import EmpiricalCDF, EstimatedCDF
-from repro.core.config import Adam2Config
+from repro.core.config import Adam2Config, bootstrap_sample_size
 from repro.fastsim.adam2 import (
     assemble_error_pairs,
     entire_domain_stats,
@@ -347,7 +347,7 @@ class ShardedAdam2:
         self._measure_rng = spawn(self.rng)
         self._cross_rng = spawn(self.rng)
         self.values = workload.sample(n_nodes, self._value_rng)
-        self.neighbour_sample = neighbour_sample or max(config.points, 20)
+        self.neighbour_sample = bootstrap_sample_size(config, neighbour_sample)
         self.node_sample = node_sample
         from repro.lint.sanitizer import sanitize_enabled
 

@@ -1,8 +1,7 @@
 """Array state of one vectorised aggregation instance.
 
 The fast simulator keeps a whole instance in three arrays (see
-:mod:`repro.fastsim.exchange` for the invariants the kernels rely on);
-:class:`InstanceArrays` builds and manipulates them:
+:mod:`repro.fastsim.exchange` for the invariants the kernels rely on):
 
 * ``averaged`` — ``(n, k + v + 1)``: the ``k`` interpolation-fraction
   columns, ``v`` verification-fraction columns, and the size weight;
@@ -10,23 +9,21 @@ The fast simulator keeps a whole instance in three arrays (see
 * ``joined`` — ``(n,)`` bool, with the invariant that an unjoined node's
   rows always hold exactly its initial state.
 
-:class:`BatchState` is the large-``n`` counterpart: one preallocated
-``(N, λ)`` state tensor (``λ = k + v + 1`` columns over all thresholds)
-plus the extremes/join/exclusion arrays, *reused* across consecutive
-instances — :meth:`BatchState.begin_instance` refills the tensor in
-place instead of reallocating ~``N·λ`` floats per instance, and an
-optional float32 mode halves the working set for million-node runs.
+:class:`BatchState` owns them: one preallocated ``(N, λ)`` state tensor
+(``λ = k + v + 1`` columns over all thresholds) plus the
+extremes/join/exclusion arrays, *reused* across consecutive instances —
+:meth:`BatchState.begin_instance` refills the tensor in place instead of
+reallocating ~``N·λ`` floats per instance, and an optional float32 mode
+halves the working set for million-node runs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ProtocolError
 
-__all__ = ["BatchState", "InstanceArrays", "resolve_dtype"]
+__all__ = ["BatchState", "resolve_dtype"]
 
 #: accepted spellings of the batch dtypes
 _DTYPES = {
@@ -60,9 +57,8 @@ class BatchState:
     Owns every per-node array an instance needs — the averaged-quantity
     tensor, the extremes matrix, and the joined/excluded/participants
     masks — allocated once and refilled in place for each consecutive
-    instance.  Column layout of ``averaged`` matches
-    :class:`InstanceArrays`: ``k`` interpolation fractions, ``v``
-    verification fractions, then the size weight.
+    instance.  Column layout of ``averaged``: ``k`` interpolation
+    fractions, ``v`` verification fractions, then the size weight.
 
     Args:
         n: population size.
@@ -173,101 +169,3 @@ class BatchState:
         self.averaged[pending, : self.width - 1] = fresh[:, None] <= all_t[None, :]
         self.extremes[pending, 0] = fresh
         self.extremes[pending, 1] = fresh
-
-
-@dataclass
-class InstanceArrays:
-    """The dense state of one aggregation instance."""
-
-    thresholds: np.ndarray
-    v_thresholds: np.ndarray
-    averaged: np.ndarray
-    extremes: np.ndarray
-    joined: np.ndarray
-
-    @classmethod
-    def create(
-        cls,
-        values: np.ndarray,
-        thresholds: np.ndarray,
-        v_thresholds: np.ndarray | None = None,
-        initiator: int = 0,
-    ) -> "InstanceArrays":
-        """Initialise the arrays for a population of single-value nodes.
-
-        Every row starts as the node's indicator state (so the unjoined
-        invariant holds from the start); only the initiator is joined and
-        carries the unit size weight.
-        """
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or values.size < 2:
-            raise ProtocolError("need a 1-D population of at least 2 values")
-        thresholds = np.sort(np.asarray(thresholds, dtype=float))
-        v_thresholds = (
-            np.sort(np.asarray(v_thresholds, dtype=float))
-            if v_thresholds is not None
-            else np.empty(0)
-        )
-        if not 0 <= initiator < values.size:
-            raise ProtocolError(f"initiator {initiator} out of range")
-        n = values.size
-        all_t = np.concatenate((thresholds, v_thresholds))
-        averaged = np.empty((n, all_t.size + 1), dtype=float)
-        averaged[:, :-1] = values[:, None] <= all_t[None, :]
-        averaged[:, -1] = 0.0
-        averaged[initiator, -1] = 1.0
-        joined = np.zeros(n, dtype=bool)
-        joined[initiator] = True
-        return cls(
-            thresholds=thresholds,
-            v_thresholds=v_thresholds,
-            averaged=averaged,
-            extremes=np.stack((values, values), axis=1),
-            joined=joined,
-        )
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.averaged.shape[0])
-
-    @property
-    def k(self) -> int:
-        """Number of interpolation points."""
-        return int(self.thresholds.size)
-
-    @property
-    def fractions(self) -> np.ndarray:
-        """The interpolation-fraction columns (clipped view copy)."""
-        return np.clip(self.averaged[:, : self.k], 0.0, 1.0)
-
-    @property
-    def v_fractions(self) -> np.ndarray:
-        return np.clip(self.averaged[:, self.k : self.k + self.v_thresholds.size], 0.0, 1.0)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.averaged[:, -1]
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-
-    def reset_node(self, index: int, value: float) -> None:
-        """Reset one row to a fresh node's initial state (churn)."""
-        all_t = np.concatenate((self.thresholds, self.v_thresholds))
-        self.averaged[index, :-1] = value <= all_t
-        self.averaged[index, -1] = 0.0
-        self.extremes[index] = (value, value)
-        self.joined[index] = False
-
-    def conserved_mass(self) -> np.ndarray:
-        """Per-column sums over joined rows plus initial mass of unjoined.
-
-        Under the symmetric exchange kernels this vector is invariant —
-        the property the convergence proof rests on; exposed for tests.
-        """
-        return self.averaged.sum(axis=0)

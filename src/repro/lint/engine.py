@@ -9,9 +9,7 @@ the module *plus* the shared index.  Findings pass through the inline
 committed baseline, so only *new* findings gate the exit code.
 
 Output formats: human text, JSON, and SARIF 2.1.0 (``--format sarif``)
-for CI code-scanning upload.  ``--jobs N`` (or ``auto``) fans the
-per-file phase out over a process pool; the index is plain picklable
-data precisely so it can ship to the workers.
+for CI code-scanning upload.
 
 Exit status: 0 clean, 1 non-baselined error-severity findings,
 2 on usage or parse errors.
@@ -21,9 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,8 +35,6 @@ __all__ = ["LintEngine", "lint_paths", "lint_source", "main", "resolve_rules"]
 #: directories never descended into
 _SKIP_DIRS = {"__pycache__", ".git", ".pytest_cache", ".mypy_cache", ".ruff_cache", "build", "dist"}
 
-#: below this many files, process-pool startup costs more than it saves
-_MIN_FILES_PER_JOB = 8
 
 def _sort_key(violation: Violation) -> tuple[str, int, int, str]:
     return (violation.path, violation.line, violation.column, violation.code)
@@ -111,7 +105,7 @@ class LintEngine:
         suppressed.sort(key=_sort_key)
         return kept, suppressed
 
-    def run(self, paths: Iterable[str], jobs: int = 1) -> LintReport:
+    def run(self, paths: Iterable[str]) -> LintReport:
         report = LintReport()
         paths = list(paths)
         # A typo'd path must not silently pass the lint gate.
@@ -130,80 +124,24 @@ class LintEngine:
         report.files_checked = len(modules)
         project = build_project_index(modules)
 
-        # Phase 2: per-file rule runs, optionally fanned out.
-        if jobs > 1 and len(modules) >= _MIN_FILES_PER_JOB:
-            self._run_parallel(modules, project, jobs, report)
-        else:
-            for module in modules:
-                kept, suppressed = self.check_module_full(module, project)
-                report.violations.extend(kept)
-                report.suppressed.extend(suppressed)
+        # Phase 2: per-file rule runs against the shared index.
+        for module in modules:
+            kept, suppressed = self.check_module_full(module, project)
+            report.violations.extend(kept)
+            report.suppressed.extend(suppressed)
 
         report.violations.sort(key=_sort_key)
         report.suppressed.sort(key=_sort_key)
         return report
-
-    def _run_parallel(
-        self,
-        modules: list[ModuleContext],
-        project: ProjectIndex,
-        jobs: int,
-        report: LintReport,
-    ) -> None:
-        codes = frozenset(r.code for r in self.rules)
-        batches: list[list[str]] = [[] for _ in range(jobs)]
-        for i, module in enumerate(modules):
-            batches[i % jobs].append(module.path)
-        batches = [batch for batch in batches if batch]
-        try:
-            with ProcessPoolExecutor(max_workers=len(batches)) as pool:
-                for kept, suppressed in pool.map(
-                    _lint_worker,
-                    batches,
-                    [codes] * len(batches),
-                    [project] * len(batches),
-                ):
-                    report.violations.extend(kept)
-                    report.suppressed.extend(suppressed)
-        except (OSError, ValueError):  # pragma: no cover - pool unavailable
-            for module in modules:
-                kept, suppressed = self.check_module_full(module, project)
-                report.violations.extend(kept)
-                report.suppressed.extend(suppressed)
-
-
-def _lint_worker(
-    paths: list[str], codes: frozenset[str], project: ProjectIndex
-) -> tuple[list[Violation], list[Violation]]:
-    """Process-pool worker: re-parse a batch of files, run the rules.
-
-    The parent already parsed these files successfully (the index pass),
-    so parse failures here are races; they are silently skipped rather
-    than double-reported.
-    """
-    engine = LintEngine(get_rules(set(codes)))
-    kept: list[Violation] = []
-    suppressed: list[Violation] = []
-    for path in paths:
-        try:
-            source = Path(path).read_text(encoding="utf-8")
-            module = ModuleContext.from_source(source, path=path)
-        except (OSError, SyntaxError, ValueError):  # pragma: no cover
-            continue
-        file_kept, file_suppressed = engine.check_module_full(module, project)
-        kept.extend(file_kept)
-        suppressed.extend(file_suppressed)
-    return kept, suppressed
 
 
 def lint_paths(
     paths: Iterable[str],
     select: set[str] | None = None,
     ignore: set[str] | None = None,
-    jobs: int = 1,
 ) -> LintReport:
     """Convenience wrapper: lint files/directories with (a subset of) rules."""
-    return LintEngine(resolve_rules(select, ignore)).run(paths, jobs=jobs)
+    return LintEngine(resolve_rules(select, ignore)).run(paths)
 
 
 def lint_source(source: str, path: str = "<string>", select: set[str] | None = None) -> list[Violation]:
@@ -272,16 +210,6 @@ def _parse_codes(raw: str) -> set[str] | None:
     return {code.strip().upper() for code in raw.split(",") if code.strip()} or None
 
 
-def _resolve_jobs(raw: str, n_files: int) -> int:
-    """``auto`` sizes the pool to the machine *and* the workload: pools
-    only pay off with enough files per worker, and on a single-CPU box
-    the sequential path is always faster."""
-    if raw != "auto":
-        return max(1, int(raw))
-    cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_files // _MIN_FILES_PER_JOB))
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="adam2-lint",
@@ -307,10 +235,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="rewrite the --baseline file from the current findings and exit 0",
     )
     parser.add_argument(
-        "--jobs", default="auto", metavar="N",
-        help="parallel worker processes ('auto' sizes to CPUs and file count)",
-    )
-    parser.add_argument(
         "--verbose", action="store_true",
         help="print the resolved rule set and suppressed/baselined accounting",
     )
@@ -326,7 +250,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         rules = resolve_rules(_parse_codes(args.select), _parse_codes(args.ignore))
-        jobs = _resolve_jobs(args.jobs, len(LintEngine.discover(args.paths)))
     except ValueError as exc:
         print(f"adam2-lint: {exc}", file=sys.stderr)
         return 2
@@ -334,9 +257,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.verbose:
         active = ", ".join(f"{r.code}:{r.name}" for r in rules)
         print(f"rules: {active}", file=sys.stderr)
-        print(f"jobs: {jobs}", file=sys.stderr)
 
-    report = LintEngine(rules).run(args.paths, jobs=jobs)
+    report = LintEngine(rules).run(args.paths)
 
     try:
         if args.update_baseline:

@@ -8,9 +8,8 @@ value derives from a run seed.  This module builds that cross-file view
 once per lint run.
 
 The index is deliberately **plain data** (dataclasses of strings and
-tuples): it is computed in the parent process and shipped to the
-parallel per-file workers, so it must pickle cheaply and must not hold
-AST nodes.
+tuples, no AST nodes): it is built once and read by every rule run of
+every module.
 
 Resolution is *suffix-based*: an import of ``repro.net.node`` matches the
 indexed module whose dotted name ends with ``repro.net.node`` (or, at

@@ -26,7 +26,8 @@ instance and node context.
 from __future__ import annotations
 
 import os
-from typing import Any
+from contextlib import AbstractContextManager, contextmanager, nullcontext
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -41,10 +42,8 @@ __all__ = [
     "FastsimSanitizer",
     "SanitizedProtocol",
     "SanitizedAsyncProtocol",
-    "capture_instance_masses",
-    "check_delivery_merge",
+    "checked_delivery",
     "check_mass_totals",
-    "check_node_invariants",
     "check_shard_invariants",
     "mass_tolerances",
 ]
@@ -478,37 +477,27 @@ class SanitizedAsyncProtocol:
         return payload
 
     def on_request(self, node: Any, payload: Any, engine: Any) -> Any | None:
-        response = self._bracket_merge(node, payload, engine, self.inner.on_request)
-        return response
+        with self._delivery(node, payload, engine):
+            return self.inner.on_request(node, payload, engine)
 
     def on_response(self, node: Any, payload: Any, engine: Any) -> None:
-        def handler(n: Any, p: Any, e: Any) -> None:
-            self.inner.on_response(n, p, e)
-
-        self._bracket_merge(node, payload, engine, handler)
+        with self._delivery(node, payload, engine):
+            self.inner.on_response(node, payload, engine)
 
     def payload_bytes(self, payload: Any) -> int:
         return self.inner.payload_bytes(payload)
 
     # -- internals -----------------------------------------------------
 
-    def _bracket_merge(self, node: Any, payload: Any, engine: Any, handler: Any) -> Any:
+    def _delivery(self, node: Any, payload: Any, engine: Any) -> AbstractContextManager[None]:
         adam2 = node.state.get(self.name)
-        checkable = isinstance(adam2, Adam2Node) and isinstance(payload, dict)
-        if checkable:
-            pre = _instance_masses(adam2)
-
-        result = handler(node, payload, engine)
-
-        if not checkable:
-            return result
-        check_delivery_merge(
-            adam2, pre, payload,
+        if not (isinstance(adam2, Adam2Node) and isinstance(payload, dict)):
+            return nullcontext()
+        return checked_delivery(
+            adam2, payload,
             backend=self.backend,
             round_index=getattr(engine, "now", None),
         )
-        self._check_node(node, engine)
-        return result
 
     def _check_node(self, node: Any, engine: Any) -> None:
         adam2 = node.state.get(self.name)
@@ -533,32 +522,30 @@ def _masses_of(state: InstanceState) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------
-# Delivery-merge checks shared with the real-network runtime
+# The per-delivery bracket (async simulator and real-network runtime)
 # ---------------------------------------------------------------------
 
 
-def capture_instance_masses(adam2: Adam2Node) -> dict[Any, dict[str, Any]]:
-    """Snapshot a node's per-instance averaged masses before a merge."""
-    return _instance_masses(adam2)
-
-
-def check_delivery_merge(
+@contextmanager
+def checked_delivery(
     adam2: Adam2Node,
-    pre: dict[Any, dict[str, Any]],
-    payload: dict[Any, InstanceState],
+    payload: Mapping[Any, InstanceState],
     *,
     backend: str,
     round_index: int | float | None = None,
-) -> None:
-    """Assert one delivered payload merged as an exact pairwise mean.
+) -> Iterator[None]:
+    """Bracket the handling of one delivered payload at ``adam2``.
 
-    ``pre`` is the :func:`capture_instance_masses` snapshot taken before
-    the merge.  For every instance carried by the payload, the node's
-    post-merge state must equal the mean of (local-or-initial, remote) —
-    the locally-executed half of a push–pull exchange.  This invariant
-    holds per delivery even when the network loses the other half, which
-    is what makes it checkable in a real-network runtime.
+    On leaving the block, for every instance the payload carried the
+    node's state must equal the mean of (local-or-initial, remote) — the
+    locally-executed half of a push–pull exchange — and every live
+    instance must pass the per-node range/monotonicity/weight checks.
+    The averaging invariant holds per delivery even when the network
+    loses the other half, which is what makes it checkable in a
+    real-network runtime as well as in the asynchronous simulator.
     """
+    pre = _instance_masses(adam2)
+    yield
     post = _instance_masses(adam2)
     for iid, remote in payload.items():
         if not isinstance(remote, InstanceState) or iid not in post:
@@ -575,6 +562,7 @@ def check_delivery_merge(
             round_index=round_index,
             instance=iid,
         )
+    _check_node_states(adam2, backend=backend, round_index=round_index, node=adam2.node_id)
 
 
 def check_mass_totals(
@@ -633,20 +621,4 @@ def check_shard_invariants(
         backend=backend,
         round_index=round_index,
         instance=instance,
-    )
-
-
-def check_node_invariants(
-    adam2: Adam2Node,
-    *,
-    backend: str,
-    round_index: int | float | None = None,
-    node: Any = None,
-) -> None:
-    """Per-node range/monotonicity/weight checks over all live instances."""
-    _check_node_states(
-        adam2,
-        backend=backend,
-        round_index=round_index,
-        node=node if node is not None else adam2.node_id,
     )

@@ -14,13 +14,13 @@ A :class:`NodeDaemon` wires the engine-independent protocol core
   bytes *are* the snapshot); the pull reply carries the responder's
   *pre-merge* states and is merged from the request future's
   done-callback, completing the mass-conserving symmetric exchange;
-* incoming pushes are handled synchronously on the event loop (join /
-  serialise / merge / piggyback, mirroring
-  :meth:`repro.asyncsim.adam2.AsyncAdam2.on_request`), so protocol state
-  never sees concurrent mutation;
+* incoming pushes are handled synchronously on the event loop — the
+  core's receive step (:meth:`repro.core.node.Adam2Node.receive`: join /
+  serialise / merge) plus the piggyback of unseen instances — so
+  protocol state never sees concurrent mutation;
 * the **neighbour bootstrap** collects attribute values from sampled
   peers over real sample round-trips before starting an instance;
-* with ``sanitize=True`` every merge is bracketed by the shared
+* with ``sanitize=True`` every delivery is bracketed by the shared
   mass-conservation checks from :mod:`repro.lint.sanitizer`.
 
 The daemon can also run as its own OS process:
@@ -39,16 +39,11 @@ from typing import Any, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.config import Adam2Config
+from repro.core.config import Adam2Config, bootstrap_sample_size
 from repro.core.instance import InstanceState
 from repro.core.node import Adam2Node
 from repro.errors import NetworkError
-from repro.lint.sanitizer import (
-    capture_instance_masses,
-    check_delivery_merge,
-    check_node_invariants,
-    sanitize_enabled,
-)
+from repro.lint.sanitizer import checked_delivery, sanitize_enabled
 from repro.net.codec import MSG_PULL, MSG_PUSH, MSG_SAMPLE_REQUEST, Message, WireCodec
 from repro.net.faults import FaultInjector
 from repro.net.peers import PeerDirectory, PeerRecord
@@ -121,7 +116,7 @@ class NodeDaemon:
         self.gossip_period = gossip_period
         self.period_jitter = period_jitter
         self.scheduler = scheduler
-        self.neighbour_sample = neighbour_sample or max(config.points, 20)
+        self.neighbour_sample = bootstrap_sample_size(config, neighbour_sample)
         self.sanitize = sanitize_enabled(sanitize)
         self.max_inflight = max_inflight
         self.directory = PeerDirectory()
@@ -138,6 +133,8 @@ class NodeDaemon:
         #: unexpected exceptions on the push path (encode, merge, bootstrap)
         self.push_errors = 0
         self._inflight: set[asyncio.Future[Any]] = set()
+        #: the pull records of the push being handled (see _merge)
+        self._reply: list[bytes] = []
         self._running = False
         self._crashed = False
 
@@ -312,26 +309,23 @@ class NodeDaemon:
     def _merge(
         self, states: dict[Hashable, InstanceState], reply: list[bytes] | None = None
     ) -> None:
-        """Average each remote state into its local instance (joining it
-        first where new); for a push, ``reply`` collects the pull records."""
-        adam2 = self.adam2
-        pre = capture_instance_masses(adam2) if self.sanitize else None
-        for iid, remote in states.items():
-            local = adam2.instances.get(iid)
-            if local is None:
-                if remote.ttl <= 1 or iid in adam2.finished_ids:
-                    continue  # nearly expired or already terminated here
-                local = adam2.join_instance(remote, round_=self.rounds)
-            if reply is not None:
-                # Serialise after joining but before merging: the bytes
-                # are the pre-merge snapshot (no clone), and the initiator
-                # merging them completes the mass-conserving symmetric
-                # exchange (same semantics as the async simulator).
-                reply.append(self.codec.encode_state(iid, local))
-            local.merge_from(remote)
-        if pre is not None:
-            check_delivery_merge(adam2, pre, states, backend="net", round_index=self.rounds)
-            check_node_invariants(adam2, backend="net", round_index=self.rounds, node=self.node_id)
+        """Run the protocol's receive step over one delivered message;
+        for a push, ``reply`` collects the pull records."""
+        before_merge = None
+        if reply is not None:
+            self._reply = reply
+            before_merge = self._pull_record
+        if not self.sanitize:
+            self.adam2.receive(states, self.rounds, before_merge)
+            return
+        with checked_delivery(self.adam2, states, backend="net", round_index=self.rounds):
+            self.adam2.receive(states, self.rounds, before_merge)
+
+    def _pull_record(self, iid: Hashable, local: InstanceState) -> None:
+        # Called after the join and before the merge: the bytes are the
+        # pre-merge snapshot (no clone), and the initiator merging them
+        # completes the mass-conserving symmetric exchange.
+        self._reply.append(self.codec.encode_state(iid, local))
 
     # ------------------------------------------------------------------
     # Instance management

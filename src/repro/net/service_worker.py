@@ -32,8 +32,10 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
+import queue
 import socket
 import threading
+import time
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import NetworkError, ServiceError
@@ -48,8 +50,10 @@ if TYPE_CHECKING:
 
 __all__ = ["ServiceWorkerPool", "WorkerControl", "reuseport_available"]
 
-#: seconds the parent waits for each worker process to report ready
+#: seconds the parent waits for the worker processes to report ready
 _READY_TIMEOUT = 20.0
+#: seconds between liveness checks of the workers not yet ready
+_READY_POLL = 0.2
 #: snapshot versions a worker replica retains (pins are worker-local)
 _REPLICA_HISTORY = 16
 
@@ -311,13 +315,30 @@ class ServiceWorkerPool:
             self._processes.append(process)
 
         pending = set(range(self.workers))
+        deadline = time.monotonic() + _READY_TIMEOUT
         while pending:
+            # Sampled before the wait: whatever a worker wrote before it
+            # died is readable by now, so a queue that then stays empty
+            # means it went without reporting (SIGKILL, the OOM killer).
+            dead = [
+                (worker_id, self._processes[worker_id].exitcode)
+                for worker_id in sorted(pending)
+                if not self._processes[worker_id].is_alive()
+            ]
             try:
-                worker_id, outcome = ready.get(timeout=_READY_TIMEOUT)
-            except Exception as exc:
-                raise NetworkError(
-                    f"worker(s) {sorted(pending)} never reported ready"
-                ) from exc
+                worker_id, outcome = ready.get(timeout=_READY_POLL)
+            except queue.Empty:
+                if dead:
+                    worker_id, exitcode = dead[0]
+                    raise NetworkError(
+                        f"worker {worker_id} died before reporting ready "
+                        f"(exit code {exitcode})"
+                    ) from None
+                if time.monotonic() >= deadline:
+                    raise NetworkError(
+                        f"worker(s) {sorted(pending)} never reported ready"
+                    ) from None
+                continue
             if isinstance(outcome, str):
                 raise NetworkError(
                     f"worker {worker_id} failed to start: {outcome}"

@@ -102,26 +102,28 @@ class DurableEstimateStore:
         """Store subscriber: append one published snapshot to the log.
 
         A failing disk must not take the serving path down with it —
-        the error is counted and the service keeps publishing in-memory
-        (durability degrades, availability does not).
+        a failed append or a failed compaction is counted and the
+        service keeps publishing in-memory (durability degrades,
+        availability does not).  A failed compaction stays due, so the
+        next publish retries it.
         """
         metrics = self.hub.metrics
-        with self._lock:
-            try:
+        try:
+            with self._lock:
                 written = self.log.append_snapshot(snapshot)
-            except PersistError:
+                self._since_compaction += 1
+                due = (
+                    self.compact_every > 0
+                    and self._since_compaction >= self.compact_every
+                )
+            metrics.counter("persist_snapshots_written_total").inc()
+            metrics.counter("persist_bytes_written_total").inc(written)
+            if due:
+                self.compact()
+        except PersistError:
+            with self._lock:
                 self._write_errors += 1
-                metrics.counter("persist_write_errors_total").inc()
-                return
-            self._since_compaction += 1
-            due = (
-                self.compact_every > 0
-                and self._since_compaction >= self.compact_every
-            )
-        metrics.counter("persist_snapshots_written_total").inc()
-        metrics.counter("persist_bytes_written_total").inc(written)
-        if due:
-            self.compact()
+            metrics.counter("persist_write_errors_total").inc()
 
     def compact(self) -> int:
         """Apply the retention policy now; returns snapshots dropped."""
@@ -160,7 +162,8 @@ class DurableEstimateStore:
 
     @property
     def write_errors(self) -> int:
-        """Appends that failed (durability degraded, serving intact)."""
+        """Appends and automatic compactions that failed (durability
+        degraded, serving intact)."""
         with self._lock:
             return self._write_errors
 

@@ -12,7 +12,6 @@ from repro.simulation.churn import ChurnModel, NoChurn, ReplacementChurn
 from repro.simulation.engine import Engine, Protocol
 from repro.simulation.network import NetworkAccounting
 from repro.simulation.node_base import SimNode
-from repro.simulation.observers import Observer, RoundRecorder
 from repro.simulation.runner import build_engine, run_until
 
 __all__ = [
@@ -23,8 +22,6 @@ __all__ = [
     "ChurnModel",
     "NoChurn",
     "ReplacementChurn",
-    "Observer",
-    "RoundRecorder",
     "build_engine",
     "run_until",
 ]

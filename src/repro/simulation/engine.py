@@ -9,15 +9,12 @@ Each round the engine:
    protocol (exchanges are sequential within the round, as in PeerSim's
    cycle-driven mode — a node's later exchange sees the effects of its
    earlier ones);
-4. delivers a per-node timer tick to every protocol (TTL countdowns);
-5. invokes observers.
+4. delivers a per-node timer tick to every protocol (TTL countdowns).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable
-
 import numpy as np
 
 from repro.errors import SimulationError
@@ -70,7 +67,6 @@ class Engine:
         rng: np.random.Generator,
         churn=None,
         network: NetworkAccounting | None = None,
-        observers: Iterable[Callable[["Engine"], None]] = (),
         loss_rate: float = 0.0,
         sanitize: bool | None = None,
         obs: ObserverHub | None = None,
@@ -91,7 +87,6 @@ class Engine:
         self.rng = rng
         self.churn = churn
         self.network = network or NetworkAccounting()
-        self.observers = list(observers)
         #: observability hub (:mod:`repro.obs`); default hub is disabled,
         #: so instrumentation costs one no-op context per round.
         self.obs = obs if obs is not None else NULL_HUB
@@ -205,8 +200,6 @@ class Engine:
             protocol.after_round(self)
         self.network.end_round()
         self.round += 1
-        for observer in self.observers:
-            observer(self)
 
     def run(self, rounds: int) -> None:
         """Execute ``rounds`` consecutive rounds."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +26,6 @@ def build_engine(
     overlay: str | Overlay = "mesh",
     degree: int = 20,
     churn=None,
-    observers: Iterable = (),
     loss_rate: float = 0.0,
     sanitize: bool | None = None,
     obs=None,
@@ -45,7 +44,6 @@ def build_engine(
             ready :class:`~repro.overlay.base.Overlay` instance.
         degree: link/view size for the graph overlays.
         churn: optional churn model.
-        observers: per-round observer callables.
         sanitize: enable the invariant sanitizer (default: follow the
             ``ADAM2_SANITIZE`` env var).
         obs: observability hub (:class:`repro.obs.ObserverHub`).
@@ -70,7 +68,6 @@ def build_engine(
         protocols=protocols,
         rng=spawn(rng),
         churn=churn,
-        observers=observers,
         loss_rate=loss_rate,
         sanitize=sanitize,
         obs=obs,

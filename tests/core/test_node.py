@@ -62,6 +62,99 @@ class TestLifecycle:
             make_node(0, np.asarray([]))
 
 
+class TestReceive:
+    """The message-level receive step: join guard, hook, MERGE."""
+
+    POOL = np.asarray([5.0, 20.0, 30.0, 40.0])
+
+    def pair(self):
+        a, b = make_node(0, 10.0), make_node(1, [25.0, 35.0])
+        iid = a.start_instance(neighbour_values=self.POOL)
+        return a, b, iid
+
+    @staticmethod
+    def masses(nodes, iid):
+        states = [n.instances[iid] for n in nodes]
+        return np.concatenate((
+            sum(s.h.fractions for s in states),
+            [sum(s.weight for s in states), sum(s.count_average for s in states)],
+        ))
+
+    def test_unknown_instance_is_joined_then_merged(self):
+        a, b, iid = self.pair()
+        b.receive(a.instances, round_=7)
+        joined = b.instances[iid]
+        assert not joined.initiator and joined.started_round == 7
+        assert joined.ttl == a.instances[iid].ttl
+        assert joined.weight == 0.5 and joined.count_average == 1.5
+        assert (joined.h.minimum, joined.h.maximum) == (10.0, 35.0)
+
+    def test_about_to_expire_instance_is_not_joined(self):
+        a, b, iid = self.pair()
+        a.instances[iid].ttl = 1
+        b.receive(a.instances)
+        assert iid not in b.instances
+        a.instances[iid].ttl = 2
+        b.receive(a.instances)
+        assert iid in b.instances
+
+    def test_tombstoned_instance_is_not_rejoined(self):
+        a, b, iid = self.pair()
+        b.receive(a.instances)
+        while b.instances:
+            b.end_of_round()
+        assert iid in b.finished_ids
+        seen = []
+        b.receive(a.instances, before_merge=lambda i, s: seen.append(i))
+        assert iid not in b.instances and seen == []
+
+    def test_known_instance_merges_whatever_the_remote_ttl(self):
+        a, b, iid = self.pair()
+        b.receive(a.instances)
+        a.instances[iid].ttl = 1
+        before = b.instances[iid].weight
+        b.receive(a.instances)
+        assert b.instances[iid].weight == (before + a.instances[iid].weight) / 2
+
+    def test_hook_sees_post_join_pre_merge_state(self):
+        a, b, iid = self.pair()
+        seen = {}
+        b.receive(a.instances, before_merge=lambda i, s: seen.update({i: s.snapshot()}))
+        fresh = seen[iid]  # joined, not yet averaged
+        assert fresh.weight == 0.0 and fresh.count_average == 2.0
+        assert (fresh.h.minimum, fresh.h.maximum) == (25.0, 35.0)
+        thresholds = a.instances[iid].h.thresholds
+        expected = (np.asarray([25.0, 35.0])[None, :] <= thresholds[:, None]).sum(axis=1)
+        assert np.array_equal(fresh.h.fractions, expected)
+        # second delivery: the hook sees the state the first one left
+        left = b.instances[iid].snapshot()
+        b.receive(a.instances, before_merge=lambda i, s: seen.update({i: s.snapshot()}))
+        assert np.array_equal(seen[iid].h.fractions, left.h.fractions)
+        assert seen[iid].weight == left.weight
+
+    def test_push_receive_pull_receive_conserves_mass(self):
+        """Replying with the hook's pre-merge states makes the pair symmetric."""
+        a, b, iid = self.pair()
+        other = b.start_instance(neighbour_values=self.POOL * 2)
+        for _ in range(4):
+            known = [i for i in (iid, other) if i in a.instances and i in b.instances]
+            before = {i: self.masses((a, b), i) for i in known}
+            push = {i: s.snapshot() for i, s in a.instances.items()}
+            pull = {}
+            b.receive(push, before_merge=lambda i, s: pull.update({i: s.snapshot()}))
+            pull.update({i: s.snapshot() for i, s in b.instances.items() if i not in push})
+            a.receive(pull)
+            for i, mass in before.items():
+                assert self.masses((a, b), i) == pytest.approx(mass, abs=1e-12)
+        # A pushed instance conserves from the join on: the totals are
+        # still those of the two initial states.  (A piggybacked one is
+        # adopted one-sidedly — its holder never saw the adopter's state —
+        # so only the exchanges after the adoption, checked above, are.)
+        assert self.masses((a, b), iid)[-2:] == pytest.approx([1.0, 3.0])
+        assert a.instances[iid].weight == b.instances[iid].weight == 0.5
+        assert other in a.instances
+
+
 class TestGossipConvergence:
     def _run_rounds(self, nodes, rounds, rng):
         for _ in range(rounds):

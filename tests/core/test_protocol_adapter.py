@@ -6,7 +6,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.rngs import make_rng
 from repro.core.config import Adam2Config
-from repro.core.protocol import Adam2Protocol
+from repro.core.protocol import Adam2Protocol, bootstrap_pool
 from repro.simulation.runner import build_engine
 from repro.workloads.synthetic import uniform_workload
 
@@ -75,14 +75,14 @@ class TestNeighbourValues:
         protocol = Adam2Protocol(config, scheduler="manual", neighbour_sample=5)
         engine = build_engine(uniform_workload(0, 10), 40, [protocol], make_rng(1))
         node = engine.random_node()
-        values = protocol._neighbour_values(node, engine)
+        values = bootstrap_pool(node, engine, protocol.neighbour_sample)
         assert values.size <= 5
 
     def test_isolated_node_uses_own_values(self):
         engine, protocol = make_engine(n=3, overlay="random", degree=1)
         node = engine.random_node()
         engine.overlay._links[node.node_id] = []  # cut all links
-        values = protocol._neighbour_values(node, engine)
+        values = bootstrap_pool(node, engine, protocol.neighbour_sample)
         assert values.size >= 1
 
 

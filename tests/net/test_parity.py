@@ -1,5 +1,5 @@
 """Simulator/network parity: the net backend estimates what the async
-simulator estimates.
+simulator estimates, and handles each delivered message the same way.
 
 Both backends spawn their population from the same seed in the same
 order, so they aggregate the *same* 32 attribute values; on a loss-free
@@ -10,8 +10,18 @@ keeps the simulators honest as the network runtime's deterministic twin.
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
 from repro.api import run
+from repro.asyncsim.adam2 import AsyncAdam2
+from repro.asyncsim.engine import AsyncEngine
 from repro.core.config import Adam2Config
+from repro.core.node import Adam2Node
+from repro.net.codec import MSG_PULL, MSG_PUSH
+from repro.net.node import NodeDaemon
+from repro.overlay.random_graph import FullMeshOverlay
+from repro.rngs import make_rng, spawn
 from repro.workloads.synthetic import uniform_workload
 
 N_NODES = 32
@@ -62,3 +72,71 @@ def test_net_estimate_brackets_the_population():
     assert 0.0 <= estimate.minimum <= estimate.maximum <= 1000.0
     assert estimate.system_size is not None
     assert 16 <= estimate.system_size <= 64  # weight-based size near N=32
+
+
+# ----------------------------------------------------------------------
+# One receive step: the same delivery, message by message
+# ----------------------------------------------------------------------
+
+def _fields(state):
+    return (
+        state.h.thresholds.tolist(), state.h.fractions.tolist(),
+        state.h.minimum, state.h.maximum,
+        state.v_thresholds.tolist(), state.v_fractions.tolist(),
+        state.weight, state.count_average, state.ttl,
+    )
+
+
+def _table(states):
+    """Order-preserving comparable form of an ``{iid: InstanceState}`` map."""
+    return [(iid, _fields(state)) for iid, state in states.items()]
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_a_delivery_leaves_the_same_state_and_reply_on_async_and_net(sanitize):
+    """Both message substrates run the core's receive step: a push handed
+    to an ``AsyncAdam2`` node and (over bytes, socket-free) to a
+    ``NodeDaemon`` joins, skips, merges and replies identically."""
+    config = Adam2Config(points=6, verification_points=3, rounds_per_instance=20)
+    values = np.array([10.0, 40.0])
+    rng = make_rng(5)
+
+    protocol = AsyncAdam2(config)
+    engine = AsyncEngine(FullMeshOverlay([]), protocol, spawn(rng), sanitize=sanitize)
+    sim_node = engine.add_node(values)
+    sim: Adam2Node = sim_node.state[protocol.name]
+    daemon = NodeDaemon(7, values, config, spawn(rng), sanitize=sanitize)
+    codec = daemon.codec
+
+    first = Adam2Node(1, 70.0, config, spawn(rng))
+    second = Adam2Node(2, 5.0, config, spawn(rng))
+    pool = np.array([5.0, 20.0, 45.0, 60.0, 80.0, 95.0])
+    x = first.start_instance(neighbour_values=pool)
+    y = second.start_instance(neighbour_values=pool * 2)
+    expiring = second.start_instance(neighbour_values=pool / 2)
+    second.instances[expiring].ttl = 1
+
+    def deliver(sender: Adam2Node, msg_id: int):
+        payload = {iid: state.snapshot() for iid, state in sender.instances.items()}
+        sim_reply = engine.protocol.on_request(sim_node, payload, engine)
+        push = codec.encode_states(MSG_PUSH, sender.node_id, msg_id, sender.instances)
+        pull = codec.decode(daemon.handle_request(codec.decode(push), codec))
+        assert pull.kind == MSG_PULL
+        assert _table(pull.states) == _table(sim_reply)
+        assert _table(daemon.adam2.instances) == _table(sim.instances)
+        return pull.states
+
+    # unknown instance: joined; the reply is the state as joined
+    reply = deliver(first, 1)
+    assert list(reply) == [x] and reply[x].weight == 0.0
+    # a second sender: y joined, the expiring one skipped, x piggybacked
+    reply = deliver(second, 2)
+    assert list(reply) == [y, x]
+    assert set(sim.instances) == {x, y}
+    # known instance: plain merge, the reply is the pre-merge state
+    before = sim.instances[x].snapshot()
+    first.instances[x].ttl -= 3
+    reply = deliver(first, 3)
+    assert list(reply) == [x, y]
+    assert _fields(reply[x]) == _fields(before)
+    assert sim.instances[x].weight == (before.weight + 1.0) / 2

@@ -5,7 +5,9 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
+import os
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -60,6 +62,26 @@ class TestPoolLifecycle:
         assert pool.port is None
         with pool:  # a stopped pool can start again
             assert pool.port is not None
+
+    def test_worker_dead_before_ready_is_reported_with_its_exit_code(
+        self, handle, monkeypatch
+    ):
+        """SIGKILL / OOM / a crash at import: no ready message ever comes."""
+        monkeypatch.setattr(
+            service_worker, "_worker_main", lambda *args: os._exit(3)
+        )
+        pool = ServiceWorkerPool(handle.store, workers=2)
+        subscribers = list(handle.store._subscribers)
+        started = time.monotonic()
+        with pytest.raises(NetworkError, match=r"worker 0 died .*exit code 3"):
+            pool.start()
+        assert time.monotonic() - started < 3.0
+        assert pool.port is None
+        assert not [
+            child for child in multiprocessing.active_children()
+            if child.name.startswith("adam2-serve-")
+        ]
+        assert handle.store._subscribers == subscribers  # feed detached
 
     def test_double_start_fails_loudly(self, handle):
         pool = ServiceWorkerPool(handle.store, workers=1)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import errno
 import json
 
 import pytest
 
+from repro.core.config import Adam2Config
 from repro.errors import PersistError
 from repro.obs import ObserverHub
 from repro.persist import DurableEstimateStore, RetentionPolicy, SnapshotLog
+from repro.service import build_service
 from repro.service.store import EstimateStore
+from repro.workloads.synthetic import uniform_workload
 
 from tests.persist.conftest import make_snapshot
 
@@ -203,6 +207,45 @@ class TestCompaction:
                 publish(store)
         assert hub.metrics.counter("persist_compactions_total").snapshot() == 0
         assert len(SnapshotLog(tmp_path).recover().snapshots) == 6
+
+    def test_failed_compaction_does_not_take_the_serving_path_down(
+        self, tmp_path, monkeypatch
+    ):
+        """Disk full while compacting: the cycle returns, later subscribers
+        (the worker pool's feed) see the version, the failure is counted,
+        and the next publish retries the compaction."""
+        hub = ObserverHub()
+        handle = build_service(
+            Adam2Config(points=8, rounds_per_instance=15),
+            uniform_workload(0, 1000),
+            backend="fast", n_nodes=200, seed=3, hub=hub,
+            store_dir=tmp_path, compact_every=2,
+        )
+        with handle:
+            later: list[int] = []
+            handle.store.subscribe(lambda snapshot: later.append(snapshot.version))
+
+            def disk_full(src, dst):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr("repro.persist.log.os.replace", disk_full)
+            snapshot = handle.scheduler.run_cycle()  # the due compaction fails
+            assert snapshot.version == 2
+            assert handle.store.latest().version == 2
+            assert 0.0 <= handle.cdf(500.0) <= 1.0
+            assert later == [2]
+            counters = hub.metrics
+            assert counters.counter("persist_write_errors_total").snapshot() == 1
+            assert counters.counter("persist_compactions_total").snapshot() == 0
+            assert handle.status()["persistence"]["write_errors"] == 1
+
+            monkeypatch.undo()
+            handle.scheduler.run_cycle()
+            assert later == [2, 3]
+            assert counters.counter("persist_compactions_total").snapshot() == 1
+            assert counters.counter("persist_write_errors_total").snapshot() == 1
+        logged = [s.version for s in SnapshotLog(tmp_path).recover().snapshots]
+        assert logged == [1, 2, 3]  # nothing lost to the failed attempt
 
     def test_negative_compact_every_rejected(self, tmp_path):
         with pytest.raises(PersistError, match="compact_every"):

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.cdf import EmpiricalCDF, EstimatedCDF
-from repro.core.merge import merge_average, merge_extremes
+from repro.core.instance import InstanceState
+from repro.core.interpolation import InterpolationSet
 from repro.core.selection import fill_unique, get_selection
 from repro.fastsim.equidepth import merge_histograms
 from repro.metrics.error import error_grid
@@ -80,24 +81,53 @@ class TestEstimatedCDFProperties:
         assert est.evaluate(hi) == 1.0
 
 
+def instance_state(fractions, extremes=(0.0, 0.0), weight=0.0, count=1.0) -> InstanceState:
+    """A mid-instance state with arbitrary averaged quantities."""
+    return InstanceState(
+        instance_id="p",
+        h=InterpolationSet(
+            np.arange(fractions.size, dtype=float), fractions.copy(), extremes[0], extremes[1]
+        ),
+        weight=weight,
+        v_thresholds=np.empty(0),
+        v_fractions=np.empty(0),
+        count_average=count,
+        ttl=5,
+    )
+
+
 class TestMergeProperties:
     @given(value_arrays(min_size=2, max_size=20), st.data())
     def test_average_conserves_mass(self, a, data):
+        """The two ``merge_from`` calls of a symmetric exchange keep every sum."""
         b = data.draw(arrays(np.float64, a.size, elements=finite_values))
-        merged = merge_average(a, b)
-        assert np.allclose(2 * merged, a + b)
+        mine = instance_state(a, weight=1.0, count=3.0)
+        theirs = instance_state(b, weight=0.25, count=1.0)
+        snapshot = mine.snapshot()
+        mine.merge_from(theirs)
+        theirs.merge_from(snapshot)
+        assert np.array_equal(mine.h.fractions, theirs.h.fractions)
+        assert np.allclose(mine.h.fractions + theirs.h.fractions, a + b)
+        assert mine.weight + theirs.weight == 1.25
+        assert mine.count_average + theirs.count_average == 4.0
 
     @given(st.lists(st.tuples(finite_values, finite_values), min_size=2, max_size=6))
     def test_extremes_associative_commutative(self, pairs):
         pairs = [(min(a, b), max(a, b)) for a, b in pairs]
-        forward = pairs[0]
-        for p in pairs[1:]:
-            forward = merge_extremes(forward, p)
-        backward = pairs[-1]
-        for p in reversed(pairs[:-1]):
-            backward = merge_extremes(backward, p)
-        assert forward == backward
-        assert merge_extremes(forward, forward) == forward
+
+        def fold(ordered):
+            states = [instance_state(np.zeros(2), extremes=p) for p in ordered]
+            for other in states[1:]:
+                states[0].merge_from(other)
+            return states[0]
+
+        forward = fold(pairs)
+        backward = fold(pairs[::-1])
+        assert (forward.h.minimum, forward.h.maximum) == (backward.h.minimum, backward.h.maximum)
+        assert forward.h.minimum == min(p[0] for p in pairs)
+        assert forward.h.maximum == max(p[1] for p in pairs)
+        forward.merge_from(backward)
+        assert (forward.h.minimum, forward.h.maximum) == (backward.h.minimum, backward.h.maximum)
 
     @given(value_arrays(min_size=4, max_size=32, elements=st.floats(0, 1, allow_nan=False)))
     def test_gossip_round_contracts_spread(self, values):

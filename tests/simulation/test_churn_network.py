@@ -1,4 +1,4 @@
-"""Tests for churn models, network accounting, and observers."""
+"""Tests for churn models and network accounting."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.rngs import make_rng
 from repro.simulation.churn import NoChurn, ReplacementChurn
 from repro.simulation.engine import Protocol
 from repro.simulation.network import NetworkAccounting
-from repro.simulation.observers import RoundRecorder
 from repro.simulation.runner import build_engine
 from repro.workloads.synthetic import uniform_workload
 
@@ -103,27 +102,3 @@ class TestNetworkAccounting:
         assert summary.messages_per_node == 0.0
         assert summary.bytes_per_node_per_round == 0.0
 
-
-class TestRoundRecorder:
-    def test_records_every_round(self):
-        recorder = RoundRecorder(lambda engine: engine.node_count)
-        engine = make_engine(10)
-        engine.observers.append(recorder)
-        engine.run(4)
-        assert recorder.rounds == [1, 2, 3, 4]
-        assert recorder.last() == 10
-
-    def test_every_k(self):
-        recorder = RoundRecorder(lambda engine: engine.round, every=2)
-        engine = make_engine(10)
-        engine.observers.append(recorder)
-        engine.run(5)
-        assert recorder.rounds == [2, 4]
-
-    def test_last_empty_raises(self):
-        with pytest.raises(ValueError):
-            RoundRecorder(lambda e: 0).last()
-
-    def test_invalid_every(self):
-        with pytest.raises(ValueError):
-            RoundRecorder(lambda e: 0, every=0)

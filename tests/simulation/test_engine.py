@@ -98,13 +98,6 @@ class TestRounds:
         with pytest.raises(SimulationError):
             engine.run(-1)
 
-    def test_observer_invoked(self):
-        observed = []
-        engine, _ = make_engine(4)
-        engine.observers.append(lambda e: observed.append(e.round))
-        engine.run(2)
-        assert observed == [1, 2]
-
     def test_duplicate_protocol_names_rejected(self):
         rng = make_rng(0)
         with pytest.raises(SimulationError):
