@@ -15,7 +15,10 @@ frame codec and batched queries against it.  Fails hard if:
   single-endpoint phase (worker processes trace into their own hubs, so
   the accounting check stays on phase one),
 * a batched binary answer from the pool disagrees with the in-process
-  engine, or the pool draws any error at all.
+  engine, or the pool draws any error at all,
+* a request line ``json.loads`` cannot decode (not UTF-8, or nested past
+  the recursion limit) draws anything but ``bad_request`` on either
+  serving surface, or takes the connection down with it.
 
 Usage::
 
@@ -114,13 +117,38 @@ async def _drive(
     requests: list[dict[str, object]],
     clients: int,
     host: str,
-) -> tuple[list[float], dict[str, int]]:
-    """Serve ``handle`` ephemerally; return latencies and error counts."""
+) -> tuple[list[float], dict[str, int], list[str]]:
+    """Serve ``handle`` ephemerally; latencies, error counts, probe failures."""
     from repro.net.service_endpoint import ServiceEndpoint
 
     async with ServiceEndpoint(handle, host=host, port=0) as endpoint:  # type: ignore[arg-type]
         assert endpoint.port is not None
-        return await _load(host, endpoint.port, requests, clients)
+        latencies, errors = await _load(host, endpoint.port, requests, clients)
+        failures = await _undecodable_probe(host, endpoint.port)
+        if endpoint.handler_errors:
+            failures.append(f"{endpoint.handler_errors} connection handler(s) died")
+        return latencies, errors, failures
+
+
+async def _undecodable_probe(host: str, port: int) -> list[str]:
+    """One undecodable line each, then a real query on the same connection."""
+    failures: list[str] = []
+    # Raw bytes no ServiceClient can express, so a bare socket it is.
+    reader, writer = await asyncio.open_connection(host, port)  # adam2: noqa[ADM008]
+    try:
+        for line in (b"\x80abc\n", b"[" * 5000 + b"\n"):
+            writer.write(line)
+            reply = await reader.readline()
+            if not reply or json.loads(reply).get("error") != "bad_request":
+                failures.append(f"undecodable line {line[:8]!r}... drew {reply!r}")
+                return failures
+        writer.write(b'{"op":"size"}\n')
+        reply = await reader.readline()
+        if not reply or not json.loads(reply).get("ok"):
+            failures.append(f"connection unusable after undecodable lines: {reply!r}")
+    finally:
+        writer.close()
+    return failures
 
 
 async def _pool_correctness(
@@ -165,6 +193,7 @@ def _pool_phase(
             _load(args.host, pool.port, batches, args.clients, frame="binary")
         )
         wall_s = max(wall_clock() - started, 1e-9)
+        failures += asyncio.run(_undecodable_probe(args.host, pool.port))
 
     expected = [handle.cdf(x) for x in xs] + [handle.network_size()]  # type: ignore[attr-defined]
     mismatched = sum(
@@ -264,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 requests.append(_payload(op, params))
 
-        latencies, errors = asyncio.run(
+        latencies, errors, probe_failures = asyncio.run(
             _drive(handle, requests, args.clients, args.host)
         )
         pool_report: dict[str, object] = {}
@@ -299,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     print(json.dumps(report, indent=2, sort_keys=True))
 
-    failures = list(pool_failures)
+    failures = probe_failures + pool_failures
     if len(latencies) != len(requests):
         failures.append(
             f"only {len(latencies)}/{len(requests)} requests were answered"

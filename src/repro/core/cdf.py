@@ -7,6 +7,8 @@ values held by the live node population — exactly the paper's definition
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
 from repro.errors import EstimationError
@@ -67,6 +69,12 @@ class EstimatedCDF:
     arrays plus extremes) at the end of an aggregation instance.  The
     estimate is 0 strictly below the tracked minimum, 1 at and above the
     tracked maximum, and piecewise linear in between.
+
+    :meth:`evaluate` / :meth:`quantile` are the array API;
+    :meth:`evaluate_at` / :meth:`quantile_at` are their one-float twins
+    for the serving path — same vertex, same arithmetic, bit-identical
+    results, found with :mod:`bisect` over plain-float vertex lists that
+    are built on the first scalar lookup (construction costs nothing).
     """
 
     def __init__(
@@ -84,6 +92,7 @@ class EstimatedCDF:
         self.maximum = float(maximum)
         #: estimated system size (``1/w``), if the instance aggregated one.
         self.system_size = system_size
+        self._vertices: tuple[list[float], list[float]] | None = None
 
     @classmethod
     def from_interpolation(cls, h: InterpolationSet, system_size: float | None = None) -> "EstimatedCDF":
@@ -108,6 +117,49 @@ class EstimatedCDF:
         if np.any((q < 0) | (q > 1)):
             raise EstimationError("quantile levels must lie in [0, 1]")
         return invert_polyline(self._xs, self._ys, q)
+
+    def evaluate_at(self, x: float) -> float:
+        """``float(evaluate(x))`` for one float, without the array round trip.
+
+        Inside ``[minimum, maximum)`` the polyline brackets ``x`` (its
+        first vertex is at or below the minimum, its last at or above the
+        maximum), so only ``np.interp``'s interior branch is left: the
+        last vertex at or below ``x``, then ``slope * (x - x0) + y0``.
+        """
+        if not self.minimum <= x < self.maximum:
+            # evaluate()'s two overrides, in its order; NaN passes through.
+            return 1.0 if x >= self.maximum else 0.0 if x < self.minimum else x
+        xs, ys = self._vertices or self._vertex_lists()
+        j = bisect_right(xs, x) - 1
+        x0, y0 = xs[j], ys[j]
+        if x0 == x:
+            return y0
+        y = (ys[j + 1] - y0) / (xs[j + 1] - x0) * (x - x0) + y0
+        # Non-finite vertices (an estimate of nothing): np.interp's own fallbacks.
+        return y if y == y else float(self.evaluate(x))
+
+    def quantile_at(self, q: float) -> float:
+        """``float(quantile(q)[0])`` for one float (see :meth:`evaluate_at`)."""
+        if not 0.0 <= q <= 1.0:
+            if q != q:
+                return q
+            raise EstimationError("quantile levels must lie in [0, 1]")
+        xs, ys = self._vertices or self._vertex_lists()
+        if len(xs) < 2:  # one vertex: the array API refuses it, in its own words
+            return float(self.quantile(q)[0])
+        if q >= ys[-1]:
+            return xs[-1]
+        if q <= ys[0]:
+            return xs[0]
+        # ys[0] < q < ys[-1], so 1 <= i <= n-1 and ys[i-1] < q <= ys[i].
+        i = bisect_left(ys, q)
+        x_lo, y_lo = xs[i - 1], ys[i - 1]
+        ratio = (q - y_lo) / (ys[i] - y_lo)
+        return x_lo + (xs[i] - x_lo) * min(max(ratio, 0.0), 1.0)
+
+    def _vertex_lists(self) -> tuple[list[float], list[float]]:
+        self._vertices = self._xs.tolist(), self._ys.tolist()
+        return self._vertices
 
     def polyline(self) -> tuple[np.ndarray, np.ndarray]:
         """The anchored interpolation polyline ``(xs, ys)``."""

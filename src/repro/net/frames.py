@@ -36,15 +36,14 @@ from typing import Any, Mapping
 
 from repro.errors import CodecError
 from repro.service.protocol import (
-    BATCH_CODE,
     MAX_BATCH_OPS,
     OPS,
-    OPS_BY_CODE,
     BatchRequest,
     BatchResponse,
     InvalidOp,
     QueryRequest,
     QueryResponse,
+    checked_request,
 )
 
 __all__ = [
@@ -75,6 +74,7 @@ HEADER = struct.Struct("<2sBBI")
 _COUNT = struct.Struct("<H")
 _REQ_FIXED = struct.Struct("<BBB")  # op code, flags, arg count
 _RESP_FIXED = struct.Struct("<BB")  # flags, error code
+_RESP_VALUE = struct.Struct("<BBd")  # the same, then a value: the common answer
 _I64 = struct.Struct("<q")  # request id / version
 _F64 = struct.Struct("<d")  # args / value
 _MSG_LEN = struct.Struct("<H")  # error message length
@@ -97,6 +97,15 @@ _ERROR_CODES = {"bad_request": 1, "unavailable": 2, "server_error": 3}
 _ERROR_NAMES = {code: name for name, code in _ERROR_CODES.items()}
 
 _U16_MAX = 2**16 - 1
+
+#: op code -> (wire op, arity, version required, the args of that arity)
+_REQ_OPS = {
+    spec.code: (
+        spec.wire_op, len(spec.fields), spec.needs_version,
+        struct.Struct(f"<{len(spec.fields)}d"),
+    )
+    for spec in OPS.values()
+}
 
 
 class FrameCodec:
@@ -200,37 +209,36 @@ class FrameCodec:
     def _decode_request_item(
         self, payload: bytes, offset: int, *, allow_id: bool
     ) -> tuple[QueryRequest, int]:
+        """One request, every field checked here once (hence ``checked_request``)."""
         if len(payload) < offset + _REQ_FIXED.size:
             raise CodecError("frame truncated inside a request header")
-        op_code, flags, nargs = _REQ_FIXED.unpack_from(payload, offset)
+        op_code, flags, nargs = payload[offset], payload[offset + 1], payload[offset + 2]
         offset += _REQ_FIXED.size
-        spec = OPS_BY_CODE.get(op_code)
-        if spec is None or op_code == BATCH_CODE:
+        known = _REQ_OPS.get(op_code)
+        if known is None:
             raise CodecError(f"unknown request op code {op_code}")
+        wire_op, arity, needs_version, args_struct = known
         request_id: int | None = None
+        version: int | None = None
         if flags & _REQ_HAS_ID:
             if not allow_id:
                 raise CodecError("batch member carries an id; results are positional")
             request_id, offset = self._read_i64(payload, offset, "request id")
-        version: int | None = None
         if flags & _REQ_HAS_VERSION:
             version, offset = self._read_i64(payload, offset, "version")
-        if len(payload) < offset + _F64.size * nargs:
+        end = offset + _F64.size * nargs
+        if len(payload) < end:
             raise CodecError("frame truncated inside a request's arguments")
-        args = tuple(
-            _F64.unpack_from(payload, offset + _F64.size * i)[0] for i in range(nargs)
-        )
-        offset += _F64.size * nargs
-        if nargs != len(spec.fields):
+        if nargs != arity:
             raise CodecError(
-                f"op {spec.wire_op!r} takes {len(spec.fields)} argument(s), "
-                f"frame carries {nargs}"
+                f"op {wire_op!r} takes {arity} argument(s), frame carries {nargs}"
             )
-        try:
-            request = QueryRequest(spec.wire_op, args, version, request_id)
-        except Exception as exc:  # registry validation (version required, ...)
-            raise CodecError(f"invalid request frame: {exc}") from exc
-        return request, offset
+        if needs_version and version is None:
+            raise CodecError(
+                f"invalid request frame: op {wire_op!r} needs integer field 'version'"
+            )
+        args = args_struct.unpack_from(payload, offset)
+        return checked_request(wire_op, args, version, request_id), end
 
     # ------------------------------------------------------------------
     # Responses
@@ -250,6 +258,10 @@ class FrameCodec:
         )
 
     def _encode_response_item(self, response: QueryResponse, *, allow_id: bool) -> bytes:
+        if (response.ok and response.value is not None and response.version is None
+                and response.payload is None
+                and (response.request_id is None or not allow_id)):
+            return _RESP_VALUE.pack(_RESP_OK | _RESP_HAS_VALUE, 0, response.value)
         flags = _RESP_OK if response.ok else 0
         error_code = 0
         tail = b""

@@ -43,7 +43,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import CodecError, NetworkError, ServiceError
 from repro.net.frames import HEADER, KIND_BATCH_REQUEST, KIND_REQUEST, FrameCodec
@@ -71,6 +71,10 @@ __all__ = [
 _MAX_LINE = 64 * 1024
 
 
+def _json_line(wire: Mapping[str, Any]) -> bytes:
+    return json.dumps(wire, separators=(",", ":")).encode() + b"\n"
+
+
 # ----------------------------------------------------------------------
 # Transport-agnostic per-message steps (shared with the worker pool)
 # ----------------------------------------------------------------------
@@ -83,13 +87,16 @@ def process_json_line(
     Handles the in-band ``{"op": "frame", ...}`` negotiation; everything
     else goes through the dispatcher.  Shared by the asyncio endpoint
     and the worker processes, so every serving surface speaks
-    byte-identical protocol.  Line length is bounded upstream: the
-    stream readers are created with ``limit=_MAX_LINE``.
+    byte-identical protocol.  Line length is bounded upstream:
+    :class:`QueryConnection` refuses a line past ``_MAX_LINE``.
     """
     upgraded = False
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and the UnicodeDecodeError of
+        # a line that is not UTF-8; nesting past the interpreter's
+        # recursion limit fits well inside the line cap.
         response = dispatcher.failure_wire(
             "invalid", "bad_request", f"invalid JSON: {exc}"
         )
@@ -98,7 +105,7 @@ def process_json_line(
             response, upgraded = _negotiate_frame(payload)
         else:
             response = dispatcher.dispatch_wire(payload)
-    return json.dumps(response, separators=(",", ":")).encode() + b"\n", upgraded
+    return _json_line(response), upgraded
 
 
 def _negotiate_frame(payload: Mapping[str, Any]) -> tuple[dict[str, Any], bool]:
@@ -138,66 +145,127 @@ def process_frame(
 # The asyncio endpoint
 # ----------------------------------------------------------------------
 
-async def serve_connection(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    dispatcher: QueryDispatcher,
-    codec: FrameCodec,
-) -> None:
-    """Serve one connection to EOF: JSON lines, with binary upgrade.
+class QueryConnection(asyncio.Protocol):
+    """One client connection, served from its ``data_received`` callback.
 
-    Requests are answered strictly in order, so clients may pipeline
-    freely; an unreadable binary frame or a JSON line longer than the
-    reader's limit is answered with an error and the connection closed
-    (neither stream can resynchronise).
+    Each TCP segment is appended to one buffer; every complete JSON line
+    (or, after the in-band upgrade, binary frame) in it goes through
+    :func:`process_json_line` / :func:`process_frame` in arrival order,
+    and the segment's replies leave in one ``transport.write`` — so
+    clients may pipeline freely and a request costs one loop iteration.
+    An unreadable frame header or a line past ``_MAX_LINE`` is answered
+    and the connection closed (neither stream can resynchronise); an
+    unterminated last line is still served at EOF.  A peer that stops
+    reading pauses this side's reads until its write buffer drains.
+    ``live`` is the owner's set of open connections; ``on_error`` is
+    told when a handler raises (only that connection is closed).
     """
-    binary = False
-    try:
-        while True:
-            try:
-                if binary:
-                    header = await reader.readexactly(HEADER.size)
-                    kind, length = codec.unpack_header(header)
-                    payload = await reader.readexactly(length)
-                    out = process_frame(dispatcher, codec, kind, payload)
-                else:
-                    try:
-                        line = await reader.readline()
-                    except ValueError:
-                        # How readline() reports a line past the stream
-                        # limit; the rest of that line cannot be told
-                        # from a new request, so answer and hang up.
-                        writer.write(json.dumps(dispatcher.failure_wire(
-                            "invalid", "bad_request", "request line too long"
-                        ), separators=(",", ":")).encode() + b"\n")
-                        break
-                    if not line:
-                        break
-                    out, upgraded = process_json_line(dispatcher, codec, line)
-                    binary = binary or upgraded
-            except asyncio.IncompleteReadError:
-                break
-            except ConnectionError:
-                break
-            except CodecError as exc:
-                writer.write(codec.encode_response(
-                    QueryResponse.failure("bad_request", str(exc))
-                ))
-                break
-            writer.write(out)
-            try:
-                await writer.drain()
-            except ConnectionError:
-                break
-    finally:
-        writer.close()
+
+    def __init__(
+        self,
+        dispatcher: QueryDispatcher,
+        codec: FrameCodec,
+        live: "set[QueryConnection]",
+        on_error: Callable[[], None] | None = None,
+    ) -> None:
+        self.dispatcher = dispatcher
+        self.codec = codec
+        self.transport: asyncio.Transport | None = None
+        self._live = live
+        self._on_error = on_error
+        self._buffer = bytearray()
+        self._binary = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        self._live.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._live.discard(self)
+
+    def pause_writing(self) -> None:
+        assert self.transport is not None
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        assert self.transport is not None
+        self.transport.resume_reading()
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._serve(at_eof=False)
+
+    def eof_received(self) -> None:
+        self._serve(at_eof=True)  # returning None lets the transport close
+
+    def _serve(self, *, at_eof: bool) -> None:
+        assert self.transport is not None
+        replies: list[bytes] = []
         try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            # The handler is finished either way; server shutdown may
-            # cancel this last await, and re-raising would only make
-            # asyncio log a spurious "task exception" at teardown.
-            pass
+            hang_up = self._answer_buffered(replies, at_eof)
+        except Exception:
+            # A handler bug: count it and let the transport report it and
+            # drop this connection (only); earlier replies still leave.
+            if self._on_error is not None:
+                self._on_error()
+            raise
+        finally:
+            if replies:
+                self.transport.write(b"".join(replies))
+        if hang_up:
+            self.transport.close()
+
+    def _answer_buffered(self, replies: list[bytes], at_eof: bool) -> bool:
+        """Answer every complete message in the buffer; True = hang up."""
+        buffer, dispatcher, codec = self._buffer, self.dispatcher, self.codec
+        start = 0
+        try:
+            while True:
+                if self._binary:
+                    body = start + HEADER.size
+                    if len(buffer) < body:
+                        return False
+                    try:
+                        kind, length = codec.unpack_header(bytes(buffer[start:body]))
+                    except CodecError as exc:
+                        replies.append(codec.encode_response(
+                            QueryResponse.failure("bad_request", str(exc))
+                        ))
+                        return True
+                    if len(buffer) < body + length:
+                        return False
+                    start = body + length
+                    replies.append(process_frame(
+                        dispatcher, codec, kind, bytes(buffer[body:start])
+                    ))
+                    continue
+                newline = buffer.find(b"\n", start)
+                end = newline if newline >= 0 else len(buffer)
+                if end - start > _MAX_LINE:
+                    # The rest of that line cannot be told from a new
+                    # request, so answer and hang up.
+                    replies.append(_json_line(dispatcher.failure_wire(
+                        "invalid", "bad_request", "request line too long"
+                    )))
+                    return True
+                if newline < 0 and not (at_eof and end > start):
+                    return False  # (at EOF: the unterminated last line is served)
+                line, start = bytes(buffer[start:end + 1]), end + 1
+                reply, self._binary = process_json_line(dispatcher, codec, line)
+                replies.append(reply)
+        finally:
+            del buffer[:start]
+
+
+async def close_server(server: asyncio.Server, live: "set[QueryConnection]") -> None:
+    """Stop accepting, then drop every open connection, deterministically."""
+    server.close()
+    for connection in tuple(live):
+        assert connection.transport is not None
+        connection.transport.abort()
+    await server.wait_closed()
+    await asyncio.sleep(0)  # the aborts' connection_lost callbacks run here
 
 
 class ServiceEndpoint:
@@ -227,8 +295,8 @@ class ServiceEndpoint:
         self._requested_port = port
         self._server: asyncio.Server | None = None
         self.port: int | None = None
-        self._connections: set[asyncio.Task[None]] = set()
-        #: handler tasks that died with an unexpected exception
+        self._connections: set[QueryConnection] = set()
+        #: connections dropped because a handler raised an unexpected exception
         self.handler_errors = 0
 
     # -- lifecycle ------------------------------------------------------
@@ -237,28 +305,20 @@ class ServiceEndpoint:
         """Bind and start accepting connections (port 0 = ephemeral)."""
         if self._server is not None:
             raise NetworkError("endpoint already started")
-        self._server = await asyncio.start_server(
-            self._accept_connection, self.host, self._requested_port,
-            limit=_MAX_LINE,
+        self._server = await asyncio.get_running_loop().create_server(
+            self._connection, self.host, self._requested_port
         )
         sockets = self._server.sockets or ()
-        if not sockets:  # pragma: no cover - start_server always binds or raises
+        if not sockets:  # pragma: no cover - create_server always binds or raises
             raise NetworkError("endpoint bound no socket")
         self.port = int(sockets[0].getsockname()[1])
 
     async def stop(self) -> None:
+        """Stop accepting and drop every live connection before returning."""
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            await close_server(self._server, self._connections)
             self._server = None
             self.port = None
-        # In-flight handlers are ours, not the server's: cancel them so a
-        # stopped endpoint never leaves a connection half-served, and
-        # gather the cancellations so teardown is deterministic.
-        for task in tuple(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*tuple(self._connections), return_exceptions=True)
 
     async def __aenter__(self) -> "ServiceEndpoint":
         await self.start()
@@ -269,22 +329,13 @@ class ServiceEndpoint:
 
     # -- connection handling --------------------------------------------
 
-    def _accept_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # Hold the handler task ourselves: the reference start_server
-        # keeps internally is invisible to stop(), so handlers would
-        # outlive a stopped endpoint with their exceptions unretrieved.
-        task = asyncio.get_running_loop().create_task(
-            serve_connection(reader, writer, self.dispatcher, self.codec)
+    def _connection(self) -> QueryConnection:
+        return QueryConnection(
+            self.dispatcher, self.codec, self._connections, self._handler_failed
         )
-        self._connections.add(task)
-        task.add_done_callback(self._on_connection_done)
 
-    def _on_connection_done(self, task: asyncio.Task[None]) -> None:
-        self._connections.discard(task)
-        if not task.cancelled() and task.exception() is not None:
-            self.handler_errors += 1
+    def _handler_failed(self) -> None:
+        self.handler_errors += 1
 
 
 # ----------------------------------------------------------------------
@@ -381,9 +432,7 @@ class ServiceClient:
     async def negotiate_frame(self, frame: str) -> None:
         """Switch the live connection's codec (``"binary"`` / ``"json"``)."""
         reader, writer = self._connected()
-        writer.write(json.dumps(
-            {"op": "frame", "frame": frame}, separators=(",", ":")
-        ).encode() + b"\n")
+        writer.write(_json_line({"op": "frame", "frame": frame}))
         await writer.drain()
         line = await reader.readline()
         if not line:
@@ -414,9 +463,7 @@ class ServiceClient:
         if self._frame == "binary":
             writer.write(self.codec.encode_request(request))
         else:
-            writer.write(json.dumps(
-                request.to_wire(), separators=(",", ":")
-            ).encode() + b"\n")
+            writer.write(_json_line(request.to_wire()))
 
     async def _drain(self) -> None:
         _, writer = self._connected()
@@ -458,7 +505,7 @@ class ServiceClient:
             response = await self.call(parse_request(message))
             return response.to_wire()
         reader, writer = self._connected()
-        writer.write(json.dumps(message, separators=(",", ":")).encode() + b"\n")
+        writer.write(_json_line(message))
         await writer.drain()
         line = await reader.readline()
         if not line:

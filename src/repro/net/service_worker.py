@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import NetworkError, ServiceError
 from repro.net.frames import FrameCodec
-from repro.net.service_endpoint import _MAX_LINE, serve_connection
+from repro.net.service_endpoint import QueryConnection, close_server
 from repro.service.protocol import QueryDispatcher
 from repro.service.query import QueryEngine
 from repro.service.store import EstimateSnapshot, EstimateStore
@@ -201,16 +201,14 @@ async def _worker_serve(
     thread = threading.Thread(target=pump, name="snapshot-feed", daemon=True)
     thread.start()
 
-    async def on_connection(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await serve_connection(reader, writer, dispatcher, codec)
-
-    server = await asyncio.start_server(
-        on_connection, sock=sock, limit=_MAX_LINE
+    live: set[QueryConnection] = set()
+    server = await loop.create_server(
+        lambda: QueryConnection(dispatcher, codec, live), sock=sock
     )
-    async with server:
+    try:
         await stop
+    finally:
+        await close_server(server, live)
 
 
 def _resolve_stop(stop: "asyncio.Future[None]") -> None:

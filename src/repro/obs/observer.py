@@ -159,14 +159,22 @@ class ObserverHub:
         for observer in self.observers:
             observer.on_run_end(event)
 
-    def query_served(self, event: QueryServed) -> None:
-        """Record one served query (service query layer).
+    def query_served(
+        self,
+        op: str,
+        version: int | None,
+        cache_hit: bool,
+        ok: bool = True,
+        error: str | None = None,
+        latency_s: float | None = None,
+    ) -> None:
+        """Record one served query (service query layer), from its fields.
 
         Unlike the run-lifecycle hooks this updates metrics even with no
         observers attached: the serving path wants hit/miss and latency
-        aggregates available from any hub, and a query is orders of
-        magnitude cheaper than a simulation round, so there is no
-        disabled-path budget to protect.
+        aggregates available from any hub.  It runs once per query at
+        tens of thousands of qps, so the counters are bumped in place and
+        the :class:`QueryServed` event is only built for an observer.
         """
         cached = self._query_instruments
         if cached is None:
@@ -180,29 +188,28 @@ class ObserverHub:
                 metrics.histogram("query_latency_s"),
             )
         total, cache_hits, cache_misses, errors, unavailable, latency = cached
-        total.inc()
-        op_counter = self._query_op_counters.get(event.op)
+        total.value += 1.0
+        op_counter = self._query_op_counters.get(op)
         if op_counter is None:
-            op_counter = self._query_op_counters[event.op] = self.metrics.counter(
-                f"queries_{event.op}_total"
+            op_counter = self._query_op_counters[op] = self.metrics.counter(
+                f"queries_{op}_total"
             )
-        op_counter.inc()
-        if event.cache_hit:
-            cache_hits.inc()
-        else:
-            cache_misses.inc()
-        if not event.ok:
-            errors.inc()
+        op_counter.value += 1.0
+        (cache_hits if cache_hit else cache_misses).value += 1.0
+        if not ok:
+            errors.value += 1.0
             # Queries rejected because nothing is published (or the
             # requested version was evicted) get their own counter: a
             # restarted service answering "unavailable" is an
             # operational signal distinct from caller mistakes.
-            if event.error == "unavailable":
-                unavailable.inc()
-        if event.latency_s is not None:
-            latency.observe(event.latency_s)
-        for observer in self.observers:
-            observer.on_query(event)
+            if error == "unavailable":
+                unavailable.value += 1.0
+        if latency_s is not None:
+            latency.observe(latency_s)
+        if self.observers:
+            event = QueryServed(op, version, cache_hit, ok, error, latency_s)
+            for observer in self.observers:
+                observer.on_query(event)
 
     # ------------------------------------------------------------------
     # Profiling spans

@@ -35,12 +35,12 @@ ADM008 fence and is importable from every tier.
 
 from __future__ import annotations
 
-import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from repro.errors import ServiceError
-from repro.obs import NULL_HUB, ObserverHub, QueryServed, wall_clock
+from repro.obs import NULL_HUB, ObserverHub, wall_clock
 from repro.service.store import EstimateSnapshot
 
 if TYPE_CHECKING:  # runtime import would be circular (query imports protocol)
@@ -109,9 +109,6 @@ OPS: dict[str, OpSpec] = {
     )
 }
 
-#: binary op code for the batch envelope (frame codec only)
-BATCH_CODE = 15
-
 #: ops answered by the query engine
 ENGINE_OPS = frozenset(spec.wire_op for spec in OPS.values() if not spec.control)
 #: control-plane ops answered by the service itself
@@ -123,9 +120,6 @@ _METHOD_ALIASES: dict[str, str] = {
     for spec in OPS.values()
     if spec.engine_method is not None and spec.engine_method != spec.wire_op
 }
-
-#: op code -> spec, for the binary frame codec
-OPS_BY_CODE: dict[int, OpSpec] = {spec.code: spec for spec in OPS.values()}
 
 
 def canonical_op(name: str) -> str:
@@ -258,6 +252,29 @@ class QueryRequest:
         if self.request_id is not None:
             payload["id"] = self.request_id
         return payload
+
+
+_set_field = object.__setattr__
+
+
+def checked_request(
+    op: str,
+    args: tuple[float, ...],
+    version: int | None,
+    request_id: int | str | None,
+) -> QueryRequest:
+    """A :class:`QueryRequest` from fields a wire decoder has already checked.
+
+    ``__post_init__`` exists for callers' input; a decoder that has just
+    established the canonical op, its arity, float args and the version
+    an op requires would only pay for the same checks a second time.
+    """
+    request = object.__new__(QueryRequest)
+    _set_field(request, "op", op)
+    _set_field(request, "args", args)
+    _set_field(request, "version", version)
+    _set_field(request, "request_id", request_id)
+    return request
 
 
 @dataclass(frozen=True, slots=True)
@@ -433,7 +450,7 @@ def _parse_single(
     version = _strict_version(
         payload.get("version"), required_by=op if spec.needs_version else None
     )
-    return QueryRequest(op, args, version, request_id)
+    return checked_request(op, args, version, request_id)
 
 
 def parse_request(payload: Mapping[str, Any]) -> QueryRequest | BatchRequest:
@@ -537,7 +554,7 @@ class QueryDispatcher:
         if isinstance(item, InvalidOp):
             self._emit_failure(item.op, item.code, self._clock())
             return QueryResponse.failure(item.code, item.message)
-        if not item.spec.control:
+        if item.op in ENGINE_OPS:
             return self.engine.execute(item)
         return self._dispatch_control(item)
 
@@ -571,10 +588,9 @@ class QueryDispatcher:
                 "server_error", f"{type(exc).__name__}: {exc}",
                 request_id=request.request_id,
             )
-        self.hub.query_served(QueryServed(
-            op=request.op, version=None, cache_hit=False, ok=True,
-            latency_s=self._clock() - started,
-        ))
+        self.hub.query_served(
+            request.op, None, False, latency_s=self._clock() - started
+        )
         return QueryResponse.control(payload, request_id=request.request_id)
 
     # -- wire execution (legacy dict shapes) ----------------------------
@@ -620,7 +636,6 @@ class QueryDispatcher:
         ).to_wire()
 
     def _emit_failure(self, op: str, code: str, started: float) -> None:
-        self.hub.query_served(QueryServed(
-            op=op, version=None, cache_hit=False, ok=False, error=code,
-            latency_s=self._clock() - started,
-        ))
+        self.hub.query_served(
+            op, None, False, False, code, self._clock() - started
+        )

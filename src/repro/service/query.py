@@ -4,30 +4,28 @@ A :class:`QueryEngine` answers the four application queries the paper
 motivates the protocol with — ``cdf(x)``, ``quantile(q)``,
 ``fraction_between(a, b)`` and ``network_size()`` — from the latest (or
 an explicitly pinned) :class:`~repro.service.store.EstimateSnapshot`.
-Point evaluations binary-search the interpolation polyline
-(``np.searchsorted`` under :meth:`EstimatedCDF.evaluate` /
-:func:`~repro.core.interpolation.invert_polyline`), and repeated point
-queries hit a per-engine LRU cache keyed by ``(version, op, args)`` —
-snapshots are immutable, so a cached answer can never go stale for its
-version.
+Point evaluations :mod:`bisect` the interpolation polyline's plain-float
+vertex lists (:meth:`EstimatedCDF.evaluate_at` / ``quantile_at``, the
+scalar twins of the array API), and repeated point queries hit a
+per-engine LRU cache keyed by ``(version, op, args)`` — snapshots are
+immutable, so a cached answer can never go stale for its version.
 
-Every query emits a :class:`~repro.obs.events.QueryServed` event through
-the engine's :class:`~repro.obs.observer.ObserverHub`, feeding the
-``query_latency_s`` histogram and hit/miss counters.  Latency is read
+Every query is recorded through the engine's
+:class:`~repro.obs.observer.ObserverHub` — the ``query_latency_s``
+histogram, hit/miss counters, and a :class:`~repro.obs.events.QueryServed`
+event when an observer is attached.  Latency is read
 through :func:`repro.obs.wall_clock` so this module never touches the
 host clock directly (the ADM007/ADM008 clock fences stay meaningful).
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.errors import ServiceError
-from repro.obs import NULL_HUB, ObserverHub, QueryServed, wall_clock
-from repro.service.protocol import OPS, QueryRequest, QueryResponse
+from repro.obs import NULL_HUB, ObserverHub, wall_clock
+from repro.service.protocol import QueryRequest, QueryResponse
 from repro.service.store import EstimateSnapshot, EstimateStore
 
 __all__ = ["QueryEngine"]
@@ -36,11 +34,62 @@ __all__ = ["QueryEngine"]
 _CacheKey = tuple[object, ...]
 
 
-def _finite(value: float, name: str) -> float:
-    value = float(value)
-    if math.isnan(value):
+def _not_nan(value: float, name: str) -> None:
+    if value != value:
         raise ServiceError(f"{name} must not be NaN", code="bad_request")
-    return value
+
+
+def _check_cdf(x: float) -> None:
+    _not_nan(x, "x")
+
+
+def _check_quantile(q: float) -> None:
+    _not_nan(q, "q")
+    if not 0.0 <= q <= 1.0:
+        raise ServiceError(
+            f"quantile level must lie in [0, 1], got {q}", code="bad_request"
+        )
+
+
+def _check_fraction(a: float, b: float) -> None:
+    _not_nan(a, "a")
+    _not_nan(b, "b")
+    if a > b:
+        raise ServiceError(f"interval is empty: a={a} > b={b}", code="bad_request")
+
+
+def _cdf(engine: "QueryEngine", snapshot: EstimateSnapshot, x: float) -> float:
+    return snapshot.estimate.evaluate_at(x)
+
+
+def _quantile(engine: "QueryEngine", snapshot: EstimateSnapshot, q: float) -> float:
+    return snapshot.estimate.quantile_at(q)
+
+
+def _fraction(
+    engine: "QueryEngine", snapshot: EstimateSnapshot, a: float, b: float
+) -> float:
+    return max(engine._edge_cdf(snapshot, b) - engine._edge_cdf(snapshot, a), 0.0)
+
+
+def _size(engine: "QueryEngine", snapshot: EstimateSnapshot) -> float:
+    if snapshot.size_estimate is None:
+        raise ServiceError(
+            f"snapshot v{snapshot.version} carries no size estimate",
+            code="unavailable",
+        )
+    return float(snapshot.size_estimate)
+
+
+#: engine op -> (argument check or None, miss-path computation)
+_ENGINE_OPS: dict[
+    str, tuple[Callable[..., None] | None, Callable[..., float]]
+] = {
+    "cdf": (_check_cdf, _cdf),
+    "quantile": (_check_quantile, _quantile),
+    "fraction": (_check_fraction, _fraction),
+    "size": (None, _size),
+}
 
 
 class QueryEngine:
@@ -79,26 +128,11 @@ class QueryEngine:
 
     def cdf(self, x: float, *, version: int | None = None) -> float:
         """``F(x)``: estimated fraction of nodes with attribute <= x."""
-        with self._validating("cdf"):
-            x = _finite(x, "x")
-        return self._serve(
-            "cdf", (x,), version,
-            lambda snap: float(snap.estimate.evaluate(x)),
-        )
+        return self._answer("cdf", (float(x),), version)
 
     def quantile(self, q: float, *, version: int | None = None) -> float:
         """Smallest attribute value ``v`` with estimated ``F(v) >= q``."""
-        with self._validating("quantile"):
-            q = _finite(q, "q")
-            if not 0.0 <= q <= 1.0:
-                raise ServiceError(
-                    f"quantile level must lie in [0, 1], got {q}",
-                    code="bad_request",
-                )
-        return self._serve(
-            "quantile", (q,), version,
-            lambda snap: float(snap.estimate.quantile(q)[0]),
-        )
+        return self._answer("quantile", (float(q),), version)
 
     def fraction_between(
         self, a: float, b: float, *, version: int | None = None
@@ -108,51 +142,28 @@ class QueryEngine:
         Infinite bounds are allowed (``fraction_between(2048, inf)`` is
         the paper's ">= 2 GB RAM" query).
         """
-        with self._validating("fraction"):
-            a = _finite(a, "a")
-            b = _finite(b, "b")
-            if a > b:
-                raise ServiceError(
-                    f"interval is empty: a={a} > b={b}", code="bad_request"
-                )
-        return self._serve(
-            "fraction", (a, b), version,
-            lambda snap: max(
-                self._edge_cdf(snap, b) - self._edge_cdf(snap, a), 0.0
-            ),
-        )
+        return self._answer("fraction", (float(a), float(b)), version)
 
     def network_size(self, *, version: int | None = None) -> float:
         """The protocol's network-size estimate for the served snapshot."""
-        def compute(snap: EstimateSnapshot) -> float:
-            if snap.size_estimate is None:
-                raise ServiceError(
-                    f"snapshot v{snap.version} carries no size estimate",
-                    code="unavailable",
-                )
-            return float(snap.size_estimate)
-
-        return self._serve("size", (), version, compute)
+        return self._answer("size", (), version)
 
     def execute(self, request: QueryRequest) -> QueryResponse:
         """Answer one typed :class:`~repro.service.protocol.QueryRequest`.
 
         The canonical entry point for every serving surface (endpoint,
-        worker processes, in-process callers): the op registry maps the
-        wire op to the engine method, and engine failures come back as
-        typed error responses instead of raising — the caller is a
+        worker processes, in-process callers): engine failures come back
+        as typed error responses instead of raising — the caller is a
         protocol layer, not application code.
         """
-        spec = OPS[request.op]
-        if spec.engine_method is None:
+        if request.op not in _ENGINE_OPS:
             return QueryResponse.failure(
                 "bad_request",
                 f"op {request.op!r} is a control op; the engine does not serve it",
                 request_id=request.request_id,
             )
-        method: Callable[..., float] = getattr(self, spec.engine_method)
         try:
-            value = method(*request.args, version=request.version)
+            value = self._answer(request.op, request.args, request.version)
         except ServiceError as exc:
             return QueryResponse.failure(
                 exc.code, str(exc), request_id=request.request_id
@@ -170,20 +181,45 @@ class QueryEngine:
     # Serving core
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def _validating(self, op: str) -> Iterator[None]:
-        """Emit a failure event when argument validation rejects a query.
+    def _answer(
+        self, op: str, args: tuple[float, ...], version: int | None
+    ) -> float:
+        """Validate, look up or compute, record: the one path of every query.
 
-        Validation runs before :meth:`_serve`, so a rejected query would
-        otherwise leave no trace in the metrics — and a frontend reading
-        ``queries_total`` would undercount what it actually received.
+        Every outcome is recorded exactly once, rejected arguments
+        included (with no version: validation runs before the store is
+        consulted) — a frontend reading ``queries_total`` must see what
+        it actually received.
         """
-        started = self._clock()
+        check, compute = _ENGINE_OPS[op]
+        clock = self._clock
+        started = clock()
+        served: int | None = None
+        hit = False
         try:
-            yield
-        except ServiceError as exc:
-            self._emit(op, None, False, False, exc.code, started)
+            if check is not None:
+                check(*args)
+            served = version
+            snapshot = (
+                self.store.latest() if version is None else self.store.get(version)
+            )
+            served = snapshot.version
+            key: _CacheKey = (served, op, *args)
+            value = self._cache.get(key) if self.cache_size else None
+            if value is not None:
+                hit = True
+                self._hits += 1
+                self._cache.move_to_end(key)
+            else:
+                self._misses += 1
+                value = compute(self, snapshot, *args)
+                self._cache_put(key, value)
+        except Exception as exc:
+            code = exc.code if isinstance(exc, ServiceError) else "server_error"
+            self.hub.query_served(op, served, False, False, code, clock() - started)
             raise
+        self.hub.query_served(op, served, hit, True, None, clock() - started)
+        return value
 
     def _edge_cdf(self, snapshot: EstimateSnapshot, x: float) -> float:
         """``F(x)`` through the cache, sharing keys with the cdf op.
@@ -199,76 +235,13 @@ class QueryEngine:
         key: _CacheKey = (snapshot.version, "cdf", x)
         value = self._cache.get(key)
         if value is None:
-            value = float(snapshot.estimate.evaluate(x))
+            value = snapshot.estimate.evaluate_at(x)
             self._cache_put(key, value)
         return value
-
-    def _snapshot(self, version: int | None) -> EstimateSnapshot:
-        if version is None:
-            return self.store.latest()
-        return self.store.get(version)
-
-    def _serve(
-        self,
-        op: str,
-        args: tuple[float, ...],
-        version: int | None,
-        compute: Callable[[EstimateSnapshot], float],
-    ) -> float:
-        started = self._clock()
-        served_version: int | None = version
-        try:
-            snapshot = self._snapshot(version)
-            served_version = snapshot.version
-            key: _CacheKey = (snapshot.version, op, *args)
-            cached = self._cache_get(key)
-            if cached is not None:
-                self._emit(op, served_version, True, True, None, started)
-                return cached
-            value = compute(snapshot)
-            self._cache_put(key, value)
-            self._emit(op, served_version, False, True, None, started)
-            return value
-        except ServiceError as exc:
-            self._emit(op, served_version, False, False, exc.code, started)
-            raise
-        except Exception:
-            self._emit(op, served_version, False, False, "server_error", started)
-            raise
-
-    def _emit(
-        self,
-        op: str,
-        version: int | None,
-        cache_hit: bool,
-        ok: bool,
-        error: str | None,
-        started: float,
-    ) -> None:
-        self.hub.query_served(QueryServed(
-            op=op,
-            version=version,
-            cache_hit=cache_hit,
-            ok=ok,
-            error=error,
-            latency_s=self._clock() - started,
-        ))
 
     # ------------------------------------------------------------------
     # LRU cache
     # ------------------------------------------------------------------
-
-    def _cache_get(self, key: _CacheKey) -> float | None:
-        if self.cache_size == 0:
-            self._misses += 1
-            return None
-        value = self._cache.get(key)
-        if value is None:
-            self._misses += 1
-            return None
-        self._cache.move_to_end(key)
-        self._hits += 1
-        return value
 
     def _cache_put(self, key: _CacheKey, value: float) -> None:
         if self.cache_size == 0:

@@ -16,6 +16,13 @@ from repro.workloads.synthetic import uniform_workload
 
 CONFIG = Adam2Config(points=24, rounds_per_instance=25)
 
+#: request lines json.loads refuses with something other than JSONDecodeError
+UNDECODABLE_LINES = [
+    pytest.param(b"\x80abc\n", id="not-utf8"),
+    pytest.param(b'{"op":"size","id":"\xff"}\n', id="not-utf8-in-a-string"),
+    pytest.param(b"[" * 5000 + b"\n", id="nested-past-the-recursion-limit"),
+]
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -136,6 +143,37 @@ class TestErrors:
 
         response = run(scenario())
         assert response["ok"] is False and response["error"] == "bad_request"
+
+    @pytest.mark.parametrize("line", UNDECODABLE_LINES)
+    def test_undecodable_line_is_bad_request_and_the_connection_lives(self, line):
+        # Regression: json.loads raises UnicodeDecodeError / RecursionError
+        # (not JSONDecodeError) for these; the handler used to die, the
+        # client got EOF and the request was missing from queries_total.
+        handle = make_handle()
+        counter = handle.hub.metrics.counter("queries_total")
+
+        async def scenario():
+            async with ServiceEndpoint(handle, port=0) as endpoint:
+                before = counter.snapshot()
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", endpoint.port
+                )
+                writer.write(line)
+                first = await reader.readline()
+                writer.write(b'{"op":"size"}\n')
+                second = await reader.readline()
+                writer.close()
+                await writer.wait_closed()
+                return (first, second, endpoint.handler_errors,
+                        counter.snapshot() - before)
+
+        first, second, handler_errors, counted = run(scenario())
+        reply = json.loads(first)
+        assert reply["ok"] is False and reply["error"] == "bad_request"
+        assert reply["message"].startswith("invalid JSON")
+        assert json.loads(second)["ok"] is True
+        assert handler_errors == 0
+        assert counted == 2
 
     def test_non_object_request(self, handle):
         async def scenario():
