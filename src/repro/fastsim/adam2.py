@@ -79,11 +79,13 @@ def points_residual_stats(fractions: np.ndarray, true_at_t: np.ndarray) -> tuple
     """Residual partials at the interpolation points over a row block.
 
     Returns ``(max |frac − truth|, sum over rows of mean |frac − truth|)``
-    for the (already clipped) fraction rows of reached nodes.
+    for the (already clipped) fraction rows of reached nodes.  The
+    residual is built in one ``(rows, k)`` scratch.
     """
     if fractions.shape[0] == 0:
         return 0.0, 0.0
-    residual = np.abs(fractions - true_at_t[None, :])
+    residual = np.subtract(fractions, true_at_t[None, :])
+    np.abs(residual, out=residual)
     return float(residual.max()), float(residual.mean(axis=1).sum())
 
 
@@ -382,6 +384,7 @@ class Adam2Simulation:
             self._buffers, n, batch.width, batch.dtype
         )
         batch.begin_instance(self.values, all_t, initiator)
+        buffers.reset_order()
         averaged = batch.averaged
         extremes = batch.extremes
         joined = batch.joined
@@ -431,21 +434,30 @@ class Adam2Simulation:
                     excluded=excluded if self.churn is not None else None,
                     buffers=buffers,
                 )
+            # After a steady round the state is in pair order (see
+            # repro.fastsim.exchange); node-indexed readers settle it
+            # first or look rows up through ``buffers.row_of``.  Churn
+            # and drift above never meet pair order: churn forces the
+            # masked path, and drift touches only unjoined rows, which a
+            # steady round leaves none of.
             if sanitizer is not None:
+                buffers.settle(averaged, extremes)
                 sanitizer.after_round(averaged, k, round_index)
             # An exchange with an excluded peer carries no instance data;
             # approximate the active count accordingly for accounting.
             messages += 2 * active
             if probes is not None:
                 probes.round_sample(self._round_sample(
-                    averaged, joined, k, round_index, 2 * active, rate_tracker
+                    averaged[buffers.row_of[joined]], k, round_index, 2 * active, rate_tracker
                 ))
             if track and (round_index + 1) % track_every == 0:
+                buffers.settle(averaged, extremes)
                 entire, points = self._instance_errors(
                     averaged[:, :k], extremes, joined, participants & ~excluded, thresholds, truth, grid
                 )
                 trace.record(round_index + 1, entire, points)
 
+        buffers.settle(averaged, extremes)
         fractions = np.clip(averaged[:, :k], 0.0, 1.0)
         v_fractions = np.clip(averaged[:, k : k + v], 0.0, 1.0) if v else np.empty((n, 0))
         # The batch tensor is reused by the next instance: results must
@@ -453,7 +465,7 @@ class Adam2Simulation:
         weights = averaged[:, -1].copy()
         eligible = participants & ~excluded
         entire, points = self._instance_errors(
-            fractions, extremes, joined, eligible, thresholds, truth, grid
+            fractions, extremes, joined, eligible, thresholds, truth, grid, clipped=True
         )
         result = FastInstanceResult(
             instance_index=self.instances_run,
@@ -542,14 +554,13 @@ class Adam2Simulation:
 
     def _round_sample(
         self,
-        averaged: np.ndarray,
-        joined: np.ndarray,
+        rows: np.ndarray,
         k: int,
         round_index: int,
         round_messages: int,
         tracker: RateTracker,
     ) -> RoundSample:
-        """Per-round observability probe over the joined rows.
+        """Per-round observability probe over the joined rows (node order).
 
         The weight column sums to 1.0 over joined nodes under the
         symmetric exchange (the conservation diagnostic); the fraction
@@ -558,8 +569,7 @@ class Adam2Simulation:
         diagnostic whose per-round decay factor the paper's convergence
         claims are about.
         """
-        reached = int(joined.sum())
-        rows = averaged[joined]
+        reached = rows.shape[0]
         mass_sum = float(rows[:, :k].sum(dtype=np.float64))
         weight_sum = float(rows[:, -1].sum(dtype=np.float64))
         spread = float(rows[:, :k].std(axis=0).mean()) if reached > 1 else 0.0
@@ -605,10 +615,15 @@ class Adam2Simulation:
         thresholds: np.ndarray,
         truth: EmpiricalCDF,
         grid: np.ndarray,
+        clipped: bool = False,
     ) -> tuple[ErrorPair, ErrorPair]:
         """Aggregate errors over eligible nodes, counting error 1 for
         eligible nodes the instance has not reached (their approximation
-        is undefined — the paper's early-round plateau at 1)."""
+        is undefined — the paper's early-round plateau at 1).
+
+        ``clipped`` says ``fractions`` is already clipped to [0, 1]; when
+        every row is reached it is then used as it is, without a copy.
+        """
         reached = joined & eligible
         missing = int((eligible & ~joined).sum())
         n_reached = int(reached.sum())
@@ -617,7 +632,9 @@ class Adam2Simulation:
         if n_reached == 0:
             return assemble_error_pairs(0, missing, 0.0, 0.0, 0.0, 0.0)
 
-        frac = np.clip(fractions[reached], 0.0, 1.0)
+        frac = fractions if n_reached == fractions.shape[0] else fractions[reached]
+        if not clipped:
+            frac = np.clip(frac, 0.0, 1.0)
         points_max, points_avg_sum = points_residual_stats(
             frac, truth.evaluate(thresholds)
         )

@@ -26,14 +26,28 @@ Two kernels:
   the only kernel that reaches million-node populations.
 
 Both kernels accept an optional :class:`ExchangeBuffers`: preallocated
-per-round scratch (partner permutations, gather/scatter row buffers)
-reused across rounds and instances, so the steady-state matching round
-performs no heap allocation proportional to ``n``.  Buffered and
-unbuffered paths consume the generator identically (an in-place shuffle
-over a copied identity is exactly what ``rng.permutation`` does
-internally, and the partner draw is the same ``rng.integers`` call), so
-enabling buffers never changes a seeded run — a property the tests
-assert bit-for-bit.
+per-round scratch (partner permutations, gather row buffers) reused
+across rounds and instances, so no round allocates memory proportional
+to ``n``.  Every gather into that scratch is ``np.take(..., out=...,
+mode="clip")``: the default ``mode="raise"`` fills a temporary the size
+of ``out`` and copies it over, and the indices here are slices of a
+permutation the kernel drew itself, so no bounds check is lost.
+Buffered and unbuffered paths consume the generator identically (an
+in-place shuffle over a copied identity is exactly what
+``rng.permutation`` does internally, and the partner draw is the same
+``rng.integers`` call), so enabling buffers never changes a seeded
+run — a property the tests assert bit-for-bit.
+
+**Pair order.**  With buffers and every node joined, the matching round
+does not scatter the averaged rows back to their nodes: it writes the
+``n/2`` pair means contiguously into rows ``[0, n/2)``, copies them into
+``[n/2, 2·(n/2))`` and moves an odd node out to the last row, then
+records where each node now lives in the buffers' node→row index
+``row_of``.  While that index is not the identity, row ``i`` of the
+state is *not* node ``i``; :meth:`ExchangeBuffers.settle` is the one way
+back to node order.  Every reader or writer of state rows by node id
+either goes through ``row_of`` or runs after ``settle`` (the kernel's
+partial path settles first itself).
 
 Both kernels implement the two join semantics discussed in DESIGN.md:
 ``literal`` (paper Fig. 1: the joiner merges, the contacted peer ignores
@@ -78,8 +92,14 @@ class ExchangeBuffers:
     (columns of the ``averaged`` matrix) and reused for every round of
     every instance: the permutation and partner draws fill preallocated
     index buffers in place, and the matching kernel gathers pair rows
-    into preallocated row buffers (``np.take(..., out=...)``) instead of
-    allocating ``(n/2, width)`` temporaries four times per round.
+    into preallocated row buffers (``np.take(..., out=..., mode="clip")``)
+    instead of allocating ``(n/2, width)`` temporaries four times per
+    round.
+
+    The buffers also own the node→row index ``row_of`` of the state they
+    drive (see the module docstring): the identity after
+    :meth:`reset_order` and :meth:`settle`, a permutation after a
+    steady-state matching round.
 
     The buffered and unbuffered paths consume the generator identically
     (`shuffle` over a copied identity is exactly what ``permutation``
@@ -98,6 +118,11 @@ class ExchangeBuffers:
         self.order = np.empty(self.n, dtype=np.intp)
         self.partners = np.empty(self.n, dtype=np.int64)
         self._ge = np.empty(self.n, dtype=bool)
+        # Node→row index of the driven state, and index scratch for the
+        # drawn nodes' rows (steady round) or active pairs (masked round).
+        self.row_of = self._identity.copy()
+        self._paired = False
+        self._draw_rows = np.empty(self.n, dtype=np.intp)
         half = self.n // 2
         # Matching-kernel row scratch: gathered pair rows and extremes.
         self.rows_a = np.empty((half, self.width), dtype=self.dtype)
@@ -157,6 +182,72 @@ class ExchangeBuffers:
         np.greater_equal(partners, order, out=self._ge)
         np.add(partners, self._ge, out=partners)
         return partners
+
+    def reset_order(self) -> None:
+        """The driven state was refilled in node order: ``row_of`` := identity."""
+        if self._paired:
+            self.row_of[:] = self._identity
+            self._paired = False
+
+    def pair_up(self, averaged: np.ndarray, extremes: np.ndarray, perm: np.ndarray) -> int:
+        """Steady-state matching round over an all-joined state, in pair order.
+
+        Pair ``i`` is nodes ``(perm[i], perm[h + i])`` with ``h = n // 2``.
+        Both sides are gathered through ``row_of``; the mean lands in row
+        ``i`` and is copied to row ``h + i`` (extremes alike), an odd
+        node out moves to the last row, and ``row_of`` follows with one
+        integer scatter.  Same pairs, same ``(a + b) · 0.5`` as a
+        node-order round, so the values are bit-identical; no state row
+        is fancy-scattered.
+        """
+        half = self.n // 2
+        rows = self._draw_rows
+        np.take(self.row_of, perm, out=rows, mode="clip")
+        rows_a, rows_b, ext_a, ext_b = self.rows_a, self.rows_b, self.ext_a, self.ext_b
+        np.take(averaged, rows[:half], axis=0, out=rows_a, mode="clip")
+        np.take(averaged, rows[half : 2 * half], axis=0, out=rows_b, mode="clip")
+        np.take(extremes, rows[:half], axis=0, out=ext_a, mode="clip")
+        np.take(extremes, rows[half : 2 * half], axis=0, out=ext_b, mode="clip")
+        if self.n % 2:
+            # Every paired row is gathered, so the last row is free.
+            averaged[-1] = averaged[rows[-1]]
+            extremes[-1] = extremes[rows[-1]]
+        means = averaged[:half]
+        np.add(rows_a, rows_b, out=means)
+        means *= 0.5
+        averaged[half : 2 * half] = means
+        bounds = extremes[:half]
+        np.minimum(ext_a[:, 0], ext_b[:, 0], out=bounds[:, 0])
+        np.maximum(ext_a[:, 1], ext_b[:, 1], out=bounds[:, 1])
+        extremes[half : 2 * half] = bounds
+        self.row_of[perm] = self._identity
+        self._paired = True
+        return half
+
+    def settle(self, averaged: np.ndarray, extremes: np.ndarray) -> None:
+        """Restore node order (row ``i`` holds node ``i``); no-op when it holds.
+
+        Gathers through ``row_of`` into the row scratch, copies back,
+        and resets the index.  Callers: the kernel's partial path, and
+        whoever reads state rows by node id after steady rounds (result
+        assembly, tracked errors, the sanitizer, shard stats and
+        finish).
+        """
+        if not self._paired:
+            return
+        half = self.n // 2
+        row_of = self.row_of
+        for state, front, back in (
+            (averaged, self.rows_a, self.rows_b),
+            (extremes, self.ext_a, self.ext_b),
+        ):
+            last = state[row_of[-1]].copy()
+            np.take(state, row_of[:half], axis=0, out=front, mode="clip")
+            np.take(state, row_of[half : 2 * half], axis=0, out=back, mode="clip")
+            state[:half] = front
+            state[half : 2 * half] = back
+            state[-1] = last
+        self.reset_order()
 
 
 def random_partners(
@@ -250,52 +341,44 @@ def matching_round(
     """One random-matching round (vectorised); returns active exchanges.
 
     With compatible ``buffers`` and every node joined (the steady state
-    an instance spends most of its rounds in), the round is entirely
-    allocation-free: permutation in place, pair rows gathered with
-    ``np.take(out=...)``, means and extremes computed into preallocated
-    scratch, scattered back with fancy assignment.
+    an instance spends most of its rounds in), the round is
+    :meth:`ExchangeBuffers.pair_up`: permutation in place, pair rows
+    gathered through ``row_of`` into the scratch without a buffer, the
+    means written contiguously in pair order — no allocation and no
+    fancy scatter of state rows.  Otherwise (spreading phase, churn
+    exclusions) the state is settled back to node order first and the
+    active pairs are gathered and scattered by node id.
     """
     n = averaged.shape[0]
     if n < 2:
         raise SimulationError("need at least 2 nodes to gossip")
-    buffered = buffers is not None and buffers.compatible(averaged)
-    perm = buffers.permutation(rng) if buffered else rng.permutation(n)
+    scratch = buffers if buffers is not None and buffers.compatible(averaged) else None
+    perm = scratch.permutation(rng) if scratch is not None else rng.permutation(n)
+    if scratch is not None and excluded is None and joined.all():
+        return scratch.pair_up(averaged, extremes, perm)
+    if scratch is not None:
+        scratch.settle(averaged, extremes)
     half = n // 2
     a = perm[:half]
     b = perm[half : 2 * half]
 
-    if buffered and excluded is None and joined.all():
-        # Steady-state fast path: every pair is active and already
-        # joined, so the whole round is four takes, two reductions and
-        # four scatters over the preallocated row scratch.
-        assert buffers is not None
-        rows_a = buffers.rows_a
-        rows_b = buffers.rows_b
-        np.take(averaged, a, axis=0, out=rows_a)
-        np.take(averaged, b, axis=0, out=rows_b)
-        np.add(rows_a, rows_b, out=rows_a)
-        rows_a *= 0.5
-        averaged[a] = rows_a
-        averaged[b] = rows_a
-        ext_a = buffers.ext_a
-        ext_b = buffers.ext_b
-        np.take(extremes, a, axis=0, out=ext_a)
-        np.take(extremes, b, axis=0, out=ext_b)
-        np.minimum(ext_a[:, 0], ext_b[:, 0], out=ext_a[:, 0])
-        np.maximum(ext_a[:, 1], ext_b[:, 1], out=ext_a[:, 1])
-        extremes[a] = ext_a
-        extremes[b] = ext_a
-        return half
-
-    ja = joined[a]
-    jb = joined[b]
-    active = ja | jb
+    active = joined[a]
+    active |= joined[b]
     if excluded is not None:
-        active &= ~excluded[a] & ~excluded[b]
-    a = a[active]
-    b = b[active]
-    if a.size == 0:
+        active &= ~excluded[a]
+        active &= ~excluded[b]
+    count = int(np.count_nonzero(active))
+    if count == 0:
         return 0
+    if scratch is not None:
+        # Compact the active pairs into the index scratch through one
+        # index array instead of two mask-indexed copies.
+        pairs = np.flatnonzero(active)
+        a = np.take(a, pairs, out=scratch._draw_rows[:count], mode="clip")
+        b = np.take(b, pairs, out=scratch._draw_rows[count : 2 * count], mode="clip")
+    else:
+        a = a[active]
+        b = b[active]
     if join_mode == "literal":
         both = joined[a] & joined[b]
         one = ~both  # exactly one joined (none-joined pairs were dropped)
@@ -312,24 +395,23 @@ def matching_round(
         a = a[both]
         b = b[both]
         if a.size == 0:
-            return int(active.sum())
-    if buffered:
+            return count
+    if scratch is not None:
         # Partial-activity path (spreading phase, churn exclusions):
-        # same take/out discipline over size-m views of the scratch.
-        assert buffers is not None
+        # same unbuffered take/out over size-m views of the row scratch.
         m = a.size
-        rows_a = buffers.rows_a[:m]
-        rows_b = buffers.rows_b[:m]
-        np.take(averaged, a, axis=0, out=rows_a)
-        np.take(averaged, b, axis=0, out=rows_b)
+        rows_a = scratch.rows_a[:m]
+        rows_b = scratch.rows_b[:m]
+        np.take(averaged, a, axis=0, out=rows_a, mode="clip")
+        np.take(averaged, b, axis=0, out=rows_b, mode="clip")
         np.add(rows_a, rows_b, out=rows_a)
         rows_a *= 0.5
         averaged[a] = rows_a
         averaged[b] = rows_a
-        ext_a = buffers.ext_a[:m]
-        ext_b = buffers.ext_b[:m]
-        np.take(extremes, a, axis=0, out=ext_a)
-        np.take(extremes, b, axis=0, out=ext_b)
+        ext_a = scratch.ext_a[:m]
+        ext_b = scratch.ext_b[:m]
+        np.take(extremes, a, axis=0, out=ext_a, mode="clip")
+        np.take(extremes, b, axis=0, out=ext_b, mode="clip")
         np.minimum(ext_a[:, 0], ext_b[:, 0], out=ext_a[:, 0])
         np.maximum(ext_a[:, 1], ext_b[:, 1], out=ext_a[:, 1])
         extremes[a] = ext_a
@@ -346,4 +428,4 @@ def matching_round(
         extremes[b, 1] = hi
     joined[a] = True
     joined[b] = True
-    return int(active.sum())
+    return count

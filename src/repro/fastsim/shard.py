@@ -144,29 +144,36 @@ def _shard_worker_main(
             if op == "begin":
                 _, all_t, k, initiator, want_stats = command
                 batch.begin_instance(values, all_t.astype(np.float64), initiator)
+                buffers.reset_order()
                 results.put((
                     "mass", shard_id, batch.averaged.sum(axis=0, dtype=np.float64)
                 ))
             elif op == "cross":
                 count = min(int(command[1]), n)
                 idx = cross_rng.choice(n, size=count, replace=False)
+                # Local steady rounds leave the state in pair order:
+                # node rows are looked up through the buffers' index.
+                rows = buffers.row_of[idx]
                 results.put((
                     "cross",
                     shard_id,
                     idx,
-                    batch.averaged[idx].copy(),
-                    batch.extremes[idx].copy(),
-                    batch.joined[idx].copy(),
+                    batch.averaged[rows],
+                    batch.extremes[rows],
+                    batch.joined[idx],
                 ))
             elif op == "apply":
-                _, idx, rows, ext, joined_rows, round_index = command
-                batch.averaged[idx] = rows
-                batch.extremes[idx] = ext
+                _, idx, cross_rows, ext, joined_rows, round_index = command
+                rows = buffers.row_of[idx]
+                batch.averaged[rows] = cross_rows
+                batch.extremes[rows] = ext
                 batch.joined[idx] = joined_rows
                 active = matching_round(
                     batch.averaged, batch.extremes, batch.joined, rng,
                     join_mode, buffers=buffers,
                 )
+                if sanitize or want_stats:
+                    buffers.settle(batch.averaged, batch.extremes)
                 if sanitize:
                     check_shard_invariants(
                         batch.averaged, k,
@@ -193,12 +200,11 @@ def _shard_worker_main(
                 ))
             elif op == "finish":
                 _, true_at_t, sample_idx = command
+                buffers.settle(batch.averaged, batch.extremes)
                 joined = batch.joined
                 reached = int(joined.sum())
                 frac = np.clip(batch.averaged[joined, :k], 0.0, 1.0)
-                points_max, points_sum = points_residual_stats(
-                    frac.astype(np.float64, copy=False), true_at_t
-                )
+                points_max, points_sum = points_residual_stats(frac, true_at_t)
                 payload = {
                     "reached": reached,
                     "missing": n - reached,
