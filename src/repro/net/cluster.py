@@ -1,11 +1,12 @@
 """The localhost cluster harness: N real node daemons, one machine.
 
-:class:`LocalCluster` is the in-process mode — every daemon is an
-asyncio task on one event loop, sharing one wire codec but each owning
-its own UDP socket, generator, and fault injector.  This is the mode the
-``net`` backend and CI use: real datagrams, real timers, no subprocess
-overhead, and direct access to every node's protocol state for probes
-and summaries.
+:class:`LocalCluster` is the in-process mode — every daemon lives on
+one event loop, its gossip timer one ``call_later`` handle at a time
+(:func:`~repro.net.node.run_timers`); they share one wire codec but each
+owns its own UDP socket, generator, and fault injector.  This is the
+mode the ``net`` backend and CI use: real datagrams, real timers, no
+subprocess overhead, and direct access to every node's protocol state
+for probes and summaries.
 
 :func:`run_process_cluster` is the one-OS-process-per-node mode: it
 writes per-node JSON specs, launches ``python -m repro.net.node`` for
@@ -32,7 +33,7 @@ from repro.core.node import Adam2Node, CompletedInstance
 from repro.errors import NetworkError
 from repro.net.codec import WireCodec
 from repro.net.faults import FaultInjector
-from repro.net.node import NodeDaemon
+from repro.net.node import NodeDaemon, run_timers
 from repro.rngs import spawn
 
 __all__ = ["LocalCluster", "completed_from_summaries", "run_process_cluster"]
@@ -149,8 +150,9 @@ class LocalCluster:
         return [daemon for daemon in self.daemons if not daemon.crashed]
 
     async def run_rounds(self, rounds: int) -> None:
-        """Run every live daemon's gossip timer for ``rounds`` fires."""
-        await asyncio.gather(*(d.run(rounds) for d in self.live_daemons()))
+        """Run every live daemon's gossip timer for ``rounds`` fires
+        (free-running: no barrier between the call's rounds)."""
+        await run_timers(self.live_daemons(), rounds)
 
     async def drain(self) -> None:
         """Wait for every live daemon's in-flight pushes to settle."""

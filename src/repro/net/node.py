@@ -7,7 +7,9 @@ A :class:`NodeDaemon` wires the engine-independent protocol core
   :class:`~repro.net.peers.PeerDirectory` of gossip partners;
 * a **gossip timer** fires every ``gossip_period`` seconds (jittered so
   peers desynchronise); each fire is one local round — TTLs count these
-  fires, exactly like the asynchronous simulator's per-node clocks;
+  fires, exactly like the asynchronous simulator's per-node clocks.
+  :func:`run_timers` drives it: one ``call_later`` handle per daemon,
+  re-armed from its own callback (no task, sleep or gather per fire);
 * each fire sends one bounded-background **push** at a selected peer:
   every live instance that fits the budget, serialised straight from
   the live state (the tick runs to the encoder without yielding, so the
@@ -50,7 +52,7 @@ from repro.net.peers import PeerDirectory, PeerRecord
 from repro.net.transport import UdpTransport
 from repro.rngs import make_rng, spawn
 
-__all__ = ["NodeDaemon", "main"]
+__all__ = ["NodeDaemon", "main", "run_timers"]
 
 
 class NodeDaemon:
@@ -169,18 +171,7 @@ class NodeDaemon:
         Pushes settle in the background; await :meth:`drain` to wait for
         the stragglers (e.g. at the end of an instance).
         """
-        if self._running:
-            raise NetworkError("daemon is already running")
-        self._running = True
-        try:
-            for _ in range(rounds):
-                if self._crashed:
-                    return
-                jitter = 1.0 + self.period_jitter * (2.0 * float(self.rng.random()) - 1.0)
-                await asyncio.sleep(self.gossip_period * jitter)
-                self._tick()
-        finally:
-            self._running = False
+        await run_timers([self], rounds)
 
     async def drain(self) -> None:
         """Wait for in-flight pushes to complete (or fail their retries)."""
@@ -364,6 +355,93 @@ class NodeDaemon:
         datagram = self.codec.encode_sample_request(self.node_id, msg_id)
         reply = await self.transport.request(datagram, address, msg_id)
         return reply.values
+
+
+# ----------------------------------------------------------------------
+# The gossip clock: every daemon's timer, fired from loop callbacks
+# ----------------------------------------------------------------------
+
+
+class _Clock:
+    """The timers of one :func:`run_timers` call: at most one armed
+    handle per daemon, re-armed from its own callback.  Each handle
+    holds ``fire`` bound to this object, so :meth:`close` cancels and
+    forgets them all — a kept one would be a cycle through every daemon.
+    """
+
+    __slots__ = ("loop", "done", "left", "handles")
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        self.loop = loop
+        #: resolves when every daemon is done; fails with a tick's exception
+        self.done: asyncio.Future[None] = loop.create_future()
+        #: fires still owed, per daemon not yet done
+        self.left: dict[NodeDaemon, int] = {}
+        self.handles: dict[NodeDaemon, asyncio.TimerHandle] = {}
+
+    def arm(self, daemon: NodeDaemon) -> None:
+        jitter = 1.0 + daemon.period_jitter * (2.0 * float(daemon.rng.random()) - 1.0)
+        self.handles[daemon] = self.loop.call_later(
+            daemon.gossip_period * jitter, self.fire, daemon
+        )
+
+    def fire(self, daemon: NodeDaemon) -> None:
+        # A daemon crashed while its handle was armed stops here, unticked.
+        if not daemon._crashed:
+            try:
+                daemon._tick()
+            except Exception as exc:
+                # Fail the awaiting caller; raising here would only reach
+                # the loop's exception handler and leave the call hanging.
+                if not self.done.done():
+                    self.done.set_exception(exc)
+                return
+            left = self.left[daemon] - 1
+            if left and not daemon._crashed:
+                self.left[daemon] = left
+                self.arm(daemon)
+                return
+        del self.left[daemon]
+        if not self.left and not self.done.done():
+            self.done.set_result(None)
+
+    def close(self) -> None:
+        for handle in self.handles.values():
+            handle.cancel()
+        self.handles.clear()
+        self.left.clear()
+
+
+async def run_timers(daemons: Sequence[NodeDaemon], rounds: int) -> None:
+    """Run each daemon's gossip timer for ``rounds`` local fires.
+
+    The one clock behind :meth:`NodeDaemon.run`, ``LocalCluster.run_rounds``
+    and process mode.  Each daemon's clock runs free — one jitter draw
+    from its own generator per fire, re-armed once its tick returns — so
+    no barrier holds a fast daemon back; a caller that wants one runs
+    ``rounds=1`` per round.  A crashed daemon stops at its next fire
+    without ticking.  A tick's exception is raised here, and every exit
+    cancels every handle.
+    """
+    clock = _Clock(asyncio.get_running_loop())
+    started: list[NodeDaemon] = []
+    try:
+        for daemon in daemons:
+            if daemon._running:
+                raise NetworkError(f"daemon {daemon.node_id} is already running")
+            daemon._running = True
+            started.append(daemon)
+        if rounds > 0:
+            for daemon in started:
+                if not daemon._crashed:
+                    clock.left[daemon] = rounds
+                    clock.arm(daemon)
+        if clock.left:
+            await clock.done
+    finally:
+        clock.close()
+        for daemon in started:
+            daemon._running = False
 
 
 # ----------------------------------------------------------------------

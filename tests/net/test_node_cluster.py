@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import gc
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -221,7 +224,8 @@ class TestExchange:
 
 
 class TestLocalCluster:
-    def test_push_path_exceptions_reach_the_cluster_counters(self):
+    @pytest.mark.loop_errors
+    def test_push_path_exceptions_reach_the_cluster_counters(self, loop_errors):
         """A push whose merge raises is counted where operators look."""
 
         async def scenario():
@@ -245,6 +249,9 @@ class TestLocalCluster:
                 counters = cluster.counters()
                 assert cluster.daemons[0].rounds == 8  # the timer survived
             assert counters["push_errors"] == cluster.daemons[0].push_errors > 0
+            # ... and each one, traceback and all, at the loop's handler.
+            assert len(loop_errors) == counters["push_errors"]
+            assert all(c["message"] == "node 0: push failed" for c in loop_errors)
             assert counters["push_failures"] == 0
             assert counters["pushes_skipped"] == 0
 
@@ -308,6 +315,137 @@ class TestLocalCluster:
     def test_needs_two_nodes(self):
         with pytest.raises(NetworkError):
             LocalCluster([1.0], Adam2Config(points=4), make_rng(0))
+
+
+class TestGossipClock:
+    """``run_timers``: one free-running, jittered clock per daemon."""
+
+    @staticmethod
+    def cluster(n: int, seed: int, **options) -> LocalCluster:
+        return LocalCluster(
+            np.arange(n, dtype=float), Adam2Config(points=4, rounds_per_instance=6),
+            make_rng(seed), transport_options=FAST, **options,
+        )
+
+    def test_each_live_daemon_fires_rounds_times_on_its_own_clock(self):
+        period, jitter = 0.005, 0.5
+
+        async def scenario():
+            cluster = self.cluster(5, 41, gossip_period=period, period_jitter=jitter)
+            fires: list[list[float]] = [[] for _ in cluster.daemons]
+            async with cluster:
+                cluster.crash(4)
+                # A clock 20x faster than the rest: nothing may hold it back.
+                cluster.daemons[0].gossip_period = period / 20
+                loop = asyncio.get_running_loop()
+                for daemon in cluster.daemons:
+                    def recorded(tick=daemon._tick, times=fires[daemon.node_id]):
+                        times.append(loop.time())
+                        tick()
+
+                    daemon._tick = recorded
+                await cluster.run_rounds(10)
+            return cluster, fires
+
+        cluster, fires = run(scenario())
+        resolution = time.get_clock_info("monotonic").resolution
+        assert fires[4] == [] and cluster.daemons[4].rounds == 0
+        for daemon in cluster.daemons[:4]:
+            times = fires[daemon.node_id]
+            assert len(times) == daemon.rounds == 10
+            # Re-armed once its tick returned: a gap is at least the
+            # shortest jittered period, less the loop's early-fire slack.
+            assert np.diff(times).min() >= daemon.gossip_period * (1 - jitter) - resolution
+        # No round barrier: the fast daemon's 10 fires all come before
+        # any other daemon's 5th (a barrier would hold it to their 9th).
+        assert fires[0][-1] < min(fires[i][4] for i in (1, 2, 3))
+
+    def test_a_tick_that_raises_fails_the_call_and_disarms_every_clock(self):
+        period = 0.01
+
+        async def scenario():
+            cluster = self.cluster(3, 42, gossip_period=period)
+            async with cluster:
+                def broken():
+                    raise RuntimeError("tick blew up")
+
+                cluster.daemons[1]._tick = broken
+                with pytest.raises(RuntimeError, match="tick blew up"):
+                    await asyncio.wait_for(cluster.run_rounds(1000), timeout=50 * period)
+                rounds = [d.rounds for d in cluster.daemons]
+                # The failure ended the call at node 1's first fire ...
+                assert max(rounds) <= 1
+                # ... and left no handle armed to tick anyone again.
+                await asyncio.sleep(5 * period)
+                assert [d.rounds for d in cluster.daemons] == rounds
+                assert not any(d._running for d in cluster.daemons)
+
+        run(scenario())
+
+    def test_a_running_daemon_refuses_a_second_run(self):
+        async def scenario():
+            cluster = self.cluster(3, 43, gossip_period=0.005)
+            async with cluster:
+                first = asyncio.ensure_future(cluster.daemons[2].run(3))
+                await asyncio.sleep(0)
+                with pytest.raises(NetworkError, match="already running"):
+                    await cluster.daemons[2].run(1)
+                # Nodes 0 and 1 pass the guard before node 2 fails it:
+                # they are released again, and nothing was armed.
+                with pytest.raises(NetworkError, match="already running"):
+                    await cluster.run_rounds(1)
+                await first
+                assert [d.rounds for d in cluster.daemons] == [0, 0, 3]
+                assert not any(d._running for d in cluster.daemons)
+
+        run(scenario())
+
+    def test_a_crash_stops_the_timer_at_once(self):
+        async def scenario():
+            cluster = self.cluster(3, 44, gossip_period=0.005)
+            victim = cluster.daemons[1]
+            tick = victim._tick
+            at_crash: list[int] = []
+
+            def crash() -> None:
+                at_crash.append(victim.rounds)
+                cluster.crash(1)
+
+            def tick_then_crash():
+                tick()
+                # Crash after the first fire, while the next one is armed.
+                if not at_crash:
+                    asyncio.get_running_loop().call_soon(crash)
+
+            victim._tick = tick_then_crash
+            async with cluster:
+                await cluster.trigger_instance(0)
+                await cluster.run_rounds(3)
+                await cluster.drain()
+            return at_crash, [d.rounds for d in cluster.daemons]
+
+        at_crash, rounds = run(scenario())
+        assert at_crash == [1]
+        assert rounds == [3, 1, 3]
+
+    def test_a_closed_cluster_is_freed_without_the_cycle_collector(self):
+        async def scenario():
+            cluster = self.cluster(4, 45, gossip_period=0.005)
+            async with cluster:
+                await cluster.trigger_instance()
+                await cluster.run_rounds(3)
+                await cluster.drain()
+            daemon = weakref.ref(cluster.daemons[0])
+            del cluster
+            await asyncio.sleep(0)  # the closed sockets let go of their protocols
+            return daemon
+
+        gc.disable()
+        try:
+            daemon = run(scenario())
+            assert daemon() is None
+        finally:
+            gc.enable()
 
 
 class TestProcessCluster:

@@ -520,7 +520,8 @@ class TestOverRealSockets:
         # (a 256 KiB read of 16-byte requests, ~40x amplified by `status`).
         assert peak <= high + 64 * 256 * 1024
 
-    def test_a_handler_exception_closes_only_that_connection(self, monkeypatch):
+    @pytest.mark.loop_errors
+    def test_a_handler_exception_closes_only_that_connection(self, monkeypatch, loop_errors):
         real = service_endpoint.process_json_line
 
         def flaky(dispatcher, codec, data):
@@ -549,6 +550,8 @@ class TestOverRealSockets:
         assert summary(victim) == [("json", 1, True)]
         assert json.loads(alive)["ok"] is True
         assert handler_errors == 1
+        # The loop reports the dropped connection, and nothing else.
+        assert [type(c.get("exception")) for c in loop_errors] == [RuntimeError]
 
     def test_stop_with_open_connections_leaves_no_transport_open(self):
         handle = make_handle()
