@@ -10,7 +10,7 @@ any simulation substrate::
     result = run(
         Adam2Config(points=30, rounds_per_instance=40),
         uniform_workload(0, 1000),
-        backend="fast",           # or "round" / "async"
+        backend="fast",           # or "round" / "async" / "net"
         n_nodes=10_000,
         instances=3,
         seed=7,
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.api.backends import AsyncBackend, Backend, FastBackend, RoundBackend, RunSpec
+from repro.api.backends import Backend, FastBackend, RoundBackend, RunSpec
 from repro.api.result import InstanceSummary, RunResult
 from repro.core.config import Adam2Config
 from repro.errors import ConfigurationError
@@ -85,11 +85,11 @@ def list_backends() -> list[str]:
 
 register_backend(FastBackend())
 register_backend(RoundBackend())
-register_backend(AsyncBackend())
 
-# The real-network backend registers itself on import (a plain module
+# The node-daemon backends register themselves on import (a plain module
 # import, so the bootstrap works whichever of repro.api / repro.net is
-# imported first) and makes ``backend="net"`` work out of the box.
+# imported first) and make ``backend="net"`` and ``"async"`` work out of
+# the box.
 import repro.net.backend  # noqa: E402,F401  (registry bootstrap)
 
 
@@ -114,7 +114,8 @@ def run(
         config: protocol parameters shared by all peers.
         workload: attribute distribution of the population.
         backend: registered backend name (``"fast"``, ``"round"``,
-            ``"async"``, or ``"net"`` for the real-socket runtime).
+            ``"net"`` for the node daemons on real sockets, or
+            ``"async"`` for the same daemons on virtual time).
         n_nodes: population size.
         instances: consecutive aggregation instances to run.
         rounds: instance-duration override; folded into the config's

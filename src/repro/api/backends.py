@@ -1,11 +1,11 @@
 """The simulation backends behind the :func:`repro.api.run` facade.
 
 Each backend builds one engine and runs ``spec.instances`` consecutive
-aggregation instances on it.  The object-per-node substrates (round,
-async, and the real-network runtime in :mod:`repro.net.backend`) share
-one instance loop, :func:`drive_instances`: a backend contributes how
-an instance starts, how one round happens and three accessors, and the
-driver owns everything an instance *is*: events, probes, the drain
+aggregation instances on it.  The object-per-node substrates (round, and
+the node-daemon runtime in :mod:`repro.net.backend` behind ``net`` and
+``async``) share one instance loop, :func:`drive_instances`: a backend
+contributes how an instance starts, how one round happens and three
+accessors, and the driver owns everything an instance *is*: events, probes, the drain
 rule, the reduction to a :class:`~repro.api.result.RunResult`.
 
 Backends declare the option names they support (the facade rejects
@@ -39,7 +39,6 @@ from repro.rngs import make_rng, spawn
 from repro.workloads.base import AttributeWorkload
 
 __all__ = [
-    "AsyncBackend",
     "Backend",
     "FastBackend",
     "RoundBackend",
@@ -232,53 +231,6 @@ async def drive_instances(
     return _result(name, spec, summaries, estimate)
 
 
-def _run_simulated(
-    name: str,
-    spec: RunSpec,
-    hub: ObserverHub,
-    protocol: Any,
-    engine: Any,
-    measure_rng: np.random.Generator,
-    *,
-    one_round: Callable[[], object],
-    traffic: Callable[[], tuple[int, int]],
-    period_jitter: float | None = None,
-) -> RunResult:
-    """Drive a simulator engine through the instance loop, without an event loop.
-
-    A simulator's trigger and rounds are plain calls, so the driver
-    coroutine never suspends and finishes on its first resume; needing
-    no loop keeps ``run()`` callable from inside a running one.
-    """
-
-    async def trigger() -> Hashable:
-        instance_id: Hashable = protocol.trigger_instance(engine)
-        return instance_id
-
-    async def step(index: int, round_index: int, instance_id: Hashable) -> None:
-        one_round()
-
-    driver = drive_instances(
-        name, spec, hub, measure_rng,
-        trigger=trigger,
-        step=step,
-        nodes=lambda: protocol.adam2_nodes(engine),
-        traffic=traffic,
-        population=engine.attribute_values,
-        period_jitter=period_jitter,
-    )
-    try:
-        driver.send(None)
-    except StopIteration as done:
-        result: RunResult = done.value
-    else:  # pragma: no cover - nothing a simulator awaits can suspend
-        driver.close()
-        raise SimulationError("a simulated round waited on an event loop")
-    result.extras["engine"] = engine
-    result.extras["protocol"] = protocol
-    return result
-
-
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
@@ -424,46 +376,34 @@ class RoundBackend(Backend):
             **spec.given("overlay", "degree", "churn", "loss_rate", "sanitize"),
         )
         network = engine.network
-        return _run_simulated(
-            self.name, spec, hub, protocol, engine, measure_rng,
-            one_round=engine.run_round,
+
+        async def trigger() -> Hashable:
+            instance_id: Hashable = protocol.trigger_instance(engine)
+            return instance_id
+
+        async def step(index: int, round_index: int, instance_id: Hashable) -> None:
+            engine.run_round()
+
+        driver = drive_instances(
+            self.name, spec, hub, measure_rng,
+            trigger=trigger,
+            step=step,
+            nodes=lambda: protocol.adam2_nodes(engine),
             traffic=lambda: (
                 sum(network.messages_sent.values()), sum(network.bytes_sent.values())
             ),
+            population=engine.attribute_values,
         )
-
-
-class AsyncBackend(Backend):
-    """The asynchronous discrete-event engine (per-node clocks)."""
-
-    name = "async"
-    supported_options = frozenset({
-        "gossip_period", "period_jitter", "latency", "loss_rate",
-        "neighbour_sample", "node_sample", "sanitize", "drain_periods",
-    })
-
-    def run(self, spec: RunSpec, hub: ObserverHub) -> RunResult:
-        from repro.asyncsim.adam2 import AsyncAdam2
-        from repro.asyncsim.engine import AsyncEngine
-        from repro.overlay.random_graph import FullMeshOverlay
-
-        rng = make_rng(spec.seed)
-        measure_rng = spawn(rng)
-        protocol = AsyncAdam2(
-            spec.config, scheduler="manual", **spec.given("neighbour_sample")
-        )
-        engine = AsyncEngine(
-            FullMeshOverlay([]),
-            protocol,
-            spawn(rng),
-            obs=hub,
-            **spec.given("gossip_period", "period_jitter", "latency",
-                         "loss_rate", "sanitize"),
-        )
-        engine.populate(spec.workload.sample(spec.n_nodes, spawn(rng)))
-        return _run_simulated(
-            self.name, spec, hub, protocol, engine, measure_rng,
-            one_round=lambda: engine.run_for(engine.gossip_period),
-            traffic=lambda: (engine.messages_sent, engine.bytes_sent),
-            period_jitter=engine.period_jitter,
-        )
+        # Trigger and rounds are plain calls, so the driver coroutine never
+        # suspends and finishes on its first resume: no event loop, and
+        # run() stays callable from inside a running one.
+        try:
+            driver.send(None)
+        except StopIteration as done:
+            result: RunResult = done.value
+        else:  # pragma: no cover - nothing the round engine awaits can suspend
+            driver.close()
+            raise SimulationError("a simulated round waited on an event loop")
+        result.extras["engine"] = engine
+        result.extras["protocol"] = protocol
+        return result

@@ -10,8 +10,8 @@ correctness rests on (see DESIGN.md, "Static analysis & sanitizer"):
   graph via :mod:`repro.lint.project`;
 * :mod:`repro.lint.sanitizer` — opt-in runtime instrumentation
   (``ADAM2_SANITIZE=1``) asserting mass conservation, weight sanity,
-  fraction ranges and CDF monotonicity after every exchange/round in
-  all three simulation backends.
+  fraction ranges and CDF monotonicity after every exchange/round on
+  every backend.
 
 The engine supports inline ``# adam2: noqa[ADMxxx]`` suppressions
 (:mod:`repro.lint.suppress`), a committed baseline for gradual adoption
@@ -29,7 +29,6 @@ from repro.lint.sarif import format_sarif, to_sarif
 from repro.lint.sanitizer import (
     FastsimSanitizer,
     InvariantViolation,
-    SanitizedAsyncProtocol,
     SanitizedProtocol,
     sanitize_enabled,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "LintEngine",
     "LintReport",
     "ProjectIndex",
-    "SanitizedAsyncProtocol",
     "SanitizedProtocol",
     "Violation",
     "apply_baseline",

@@ -19,7 +19,7 @@ from repro.lint.violation import Violation
 
 __all__ = ["ExchangeConservation"]
 
-_PROTOCOL_BASES = {"Protocol", "AsyncProtocol"}
+_PROTOCOL_BASES = {"Protocol"}
 
 #: the one mode the symmetric-averaging proof covers; anything else
 #: branched on by name needs an explicit registration
@@ -63,10 +63,10 @@ class ExchangeConservation(Rule):
 
     Two checks:
 
-    1. An ``exchange`` method on a class deriving from ``Protocol`` (or
-       ``AsyncProtocol``) must return a payload tuple from every return
-       statement — returning ``None`` (or a bare scalar) silently drops
-       network accounting and hides the exchange from observers.
+    1. An ``exchange`` method on a class deriving from ``Protocol`` must
+       return a payload tuple from every return statement — returning
+       ``None`` (or a bare scalar) silently drops network accounting and
+       hides the exchange from observers.
     2. A function taking a ``join_mode``/``mode`` parameter may only
        compare it against ``"symmetric"`` or against mode strings the
        same module registers with ``register_non_conserving(...)``.

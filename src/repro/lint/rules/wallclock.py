@@ -1,7 +1,8 @@
 """ADM007: no wall-clock reads inside simulation/round logic.
 
 Paper invariant: the simulators model time as rounds (synchronous
-engines) or as virtual event time (async engine).  Reading the host's
+engines) or as the event loop's clock (the node daemons, which
+``backend="async"`` runs on :mod:`repro.net.virtual`'s jumping clock).  Reading the host's
 wall clock inside that logic couples simulated behaviour to real
 machine speed, destroying determinism and replayability.  Experiment
 drivers (``repro.experiments``) may time themselves; the simulation
@@ -49,7 +50,10 @@ class NoWallClock(Rule):
 
     code = "ADM007"
     name = "no-wall-clock"
-    hint = "use engine rounds or AsyncEngine virtual time (`engine.now`) instead of the host clock"
+    hint = (
+        "use engine rounds, or the event loop's clock (`loop.time()`, virtual "
+        "under backend='async') instead of the host clock"
+    )
 
     def check(self, module: ModuleContext) -> Iterator[Violation]:
         if _is_exempt(module):

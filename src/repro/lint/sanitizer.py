@@ -1,4 +1,4 @@
-"""Runtime mass-conservation sanitizer for all three simulation backends.
+"""Runtime mass-conservation sanitizer for every backend.
 
 Opt-in instrumentation (set ``ADAM2_SANITIZE=1`` or pass
 ``sanitize=True`` to an engine) that asserts, as the simulation runs,
@@ -26,7 +26,7 @@ instance and node context.
 from __future__ import annotations
 
 import os
-from contextlib import AbstractContextManager, contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
 import numpy as np
@@ -41,7 +41,6 @@ __all__ = [
     "sanitize_enabled",
     "FastsimSanitizer",
     "SanitizedProtocol",
-    "SanitizedAsyncProtocol",
     "checked_delivery",
     "check_mass_totals",
     "check_shard_invariants",
@@ -90,7 +89,10 @@ class InvariantViolation(ReproError):
         invariant: which invariant failed (``mass-conservation``,
             ``weight-sum``, ``fraction-range``, ``monotone-cdf``,
             ``exchange-payload``).
-        backend: ``simulation`` / ``fastsim`` / ``asyncsim``.
+        backend: ``simulation`` (round engine), ``fastsim`` /
+            ``fastsim.shard`` (vectorised simulator), or ``net`` (the
+            node daemons behind both ``backend="net"`` and
+            ``backend="async"``).
         round_index: round (or event) at which the violation surfaced.
         instance: instance identifier/index, when known.
         node: node identifier/index, when known.
@@ -443,73 +445,6 @@ class SanitizedProtocol:
         return result
 
 
-# ---------------------------------------------------------------------
-# Async engine backend
-# ---------------------------------------------------------------------
-
-
-class SanitizedAsyncProtocol:
-    """Wraps an :class:`repro.asyncsim.engine.AsyncProtocol`.
-
-    The atomic unit under asynchrony is one message delivery: merging a
-    received instance snapshot must replace the local state by the exact
-    mean of (local-or-initial, remote) — the half of the push–pull pair
-    that executes locally.  The wrapper verifies this averaging property
-    for every instance carried by a delivered request or response, plus
-    the per-node range/monotonicity checks.
-    """
-
-    backend = "asyncsim"
-
-    def __init__(self, inner: Any):
-        self.inner = inner
-        self.name = inner.name
-
-    def __getattr__(self, attr: str) -> Any:
-        return getattr(self.inner, attr)
-
-    def on_node_added(self, node: Any, engine: Any) -> None:
-        self.inner.on_node_added(node, engine)
-
-    def on_timer(self, node: Any, engine: Any) -> Any | None:
-        payload = self.inner.on_timer(node, engine)
-        self._check_node(node, engine)
-        return payload
-
-    def on_request(self, node: Any, payload: Any, engine: Any) -> Any | None:
-        with self._delivery(node, payload, engine):
-            return self.inner.on_request(node, payload, engine)
-
-    def on_response(self, node: Any, payload: Any, engine: Any) -> None:
-        with self._delivery(node, payload, engine):
-            self.inner.on_response(node, payload, engine)
-
-    def payload_bytes(self, payload: Any) -> int:
-        return self.inner.payload_bytes(payload)
-
-    # -- internals -----------------------------------------------------
-
-    def _delivery(self, node: Any, payload: Any, engine: Any) -> AbstractContextManager[None]:
-        adam2 = node.state.get(self.name)
-        if not (isinstance(adam2, Adam2Node) and isinstance(payload, dict)):
-            return nullcontext()
-        return checked_delivery(
-            adam2, payload,
-            backend=self.backend,
-            round_index=getattr(engine, "now", None),
-        )
-
-    def _check_node(self, node: Any, engine: Any) -> None:
-        adam2 = node.state.get(self.name)
-        if isinstance(adam2, Adam2Node):
-            _check_node_states(
-                adam2,
-                backend=self.backend,
-                round_index=getattr(engine, "now", None),
-                node=node.node_id,
-            )
-
-
 def _masses_of(state: InstanceState) -> dict[str, Any]:
     return {
         "fractions": state.h.fractions,
@@ -522,7 +457,7 @@ def _masses_of(state: InstanceState) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------
-# The per-delivery bracket (async simulator and real-network runtime)
+# The per-delivery bracket (the node daemons, on real or virtual time)
 # ---------------------------------------------------------------------
 
 
@@ -541,8 +476,8 @@ def checked_delivery(
     locally-executed half of a push–pull exchange — and every live
     instance must pass the per-node range/monotonicity/weight checks.
     The averaging invariant holds per delivery even when the network
-    loses the other half, which is what makes it checkable in a
-    real-network runtime as well as in the asynchronous simulator.
+    loses the other half, which is what makes it checkable in the
+    node-daemon runtime, on real sockets or on virtual time.
     """
     pre = _instance_masses(adam2)
     yield

@@ -1,4 +1,5 @@
-"""Real-network runtime: Adam2 over actual UDP sockets on localhost.
+"""Node-daemon runtime: Adam2 over actual UDP sockets on localhost, or
+over an in-memory fabric on virtual time.
 
 The package layers the engine-independent protocol core onto real
 networking, bottom-up:
@@ -12,8 +13,10 @@ networking, bottom-up:
   lifecycle, request handling) plus a per-process CLI;
 * :mod:`repro.net.cluster` — the localhost cluster harness, in-process
   or one-OS-process-per-node;
+* :mod:`repro.net.virtual` — an event loop on virtual time with an
+  in-memory datagram fabric, which runs all of the above unchanged;
 * :mod:`repro.net.backend` — the ``net`` backend behind
-  :func:`repro.api.run`.
+  :func:`repro.api.run`, and ``async``: the same on virtual time.
 
 This is the only package allowed to open sockets or read real clocks
 (lint rule ADM008 keeps everything else deterministic).

@@ -1,23 +1,29 @@
-"""The ``net`` backend: the Adam2 protocol over real UDP sockets.
+"""The ``net`` and ``async`` backends: the Adam2 node daemon, on real
+sockets or on virtual time.
 
 Adapts the localhost cluster harness to the :func:`repro.api.run`
-contract so ``run(config, workload, backend="net")`` executes the same
-workload/seed/config as the simulators, but over genuine datagrams with
-real timers, retries, and (optionally) injected faults.  Population
-sampling mirrors the async backend's generator spawn order exactly, so
-for a fixed seed both backends estimate the same node population —
-the basis of the simulator/network parity test.
+contract.  ``run(config, workload, backend="net")`` executes the
+workload/seed/config over genuine UDP datagrams with real timers,
+retries and (optionally) injected faults, under :func:`asyncio.run`.
+``backend="async"`` is the same code under
+:func:`~repro.net.virtual.run_virtual`: the daemons, transport, codec
+and fault injector run unchanged on a jumping clock and an in-memory
+datagram fabric — a deterministic discrete-event simulation of the
+deployed protocol, with per-node jittered clocks, latency
+(``delay_range``) and loss (``drop_rate``).  Both share every option
+and default, and for a fixed seed sample the same node population.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Hashable
+from typing import Any, Callable, Coroutine, Hashable
 
 from repro.api.backends import Backend, RunSpec, drive_instances
 from repro.api.result import RunResult
 from repro.errors import ConfigurationError
 from repro.net.cluster import LocalCluster
+from repro.net.virtual import run_virtual
 from repro.obs.observer import ObserverHub
 from repro.rngs import make_rng, spawn
 
@@ -25,9 +31,15 @@ __all__ = ["NetBackend"]
 
 
 class NetBackend(Backend):
-    """The real-network runtime (in-process localhost cluster)."""
+    """The node-daemon runtime (in-process localhost cluster).
 
-    name = "net"
+    Args:
+        name: registry name.
+        runner: what runs the cluster coroutine to completion —
+            :func:`asyncio.run` (real sockets and clock) or
+            :func:`~repro.net.virtual.run_virtual` (virtual time).
+    """
+
     supported_options = frozenset({
         "gossip_period", "period_jitter", "neighbour_sample", "node_sample",
         "sanitize", "drain_periods", "drop_rate", "delay_range", "reorder_rate",
@@ -35,13 +47,21 @@ class NetBackend(Backend):
         "crash_nodes", "crash_round",
     })
 
+    def __init__(
+        self,
+        name: str = "net",
+        runner: Callable[[Coroutine[Any, Any, RunResult]], RunResult] = asyncio.run,
+    ):
+        self.name = name
+        self._runner = runner
+
     def run(self, spec: RunSpec, hub: ObserverHub) -> RunResult:
         crash_nodes = int(spec.options.get("crash_nodes", 0))
         if not 0 <= crash_nodes <= spec.n_nodes - 2:
             raise ConfigurationError(
                 f"cannot crash {crash_nodes} of {spec.n_nodes} nodes"
             )
-        return asyncio.run(self._run_cluster(spec, hub, crash_nodes))
+        return self._runner(self._run_cluster(spec, hub, crash_nodes))
 
     async def _run_cluster(
         self, spec: RunSpec, hub: ObserverHub, crash_nodes: int
@@ -49,9 +69,8 @@ class NetBackend(Backend):
         rng = make_rng(spec.seed)
         measure_rng = spawn(rng)
         cluster_rng = spawn(rng)
-        # Identical spawn order to the async backend: the third spawn
-        # samples the population, so the same seed yields the same
-        # attribute values on both substrates (the parity invariant).
+        # The third spawn samples the population: a seed names the same
+        # attribute values on real sockets and on virtual time.
         cluster = LocalCluster(
             spec.workload.sample(spec.n_nodes, spawn(rng)),
             spec.config,
@@ -104,3 +123,4 @@ class NetBackend(Backend):
 from repro.api import register_backend  # noqa: E402  (registry bootstrap)
 
 register_backend(NetBackend())
+register_backend(NetBackend("async", run_virtual))

@@ -84,33 +84,42 @@ class LocalCluster:
             raise NetworkError("a cluster needs at least 2 nodes")
         self.rng = rng
         self.host = host
+        self.config = config
         self.period_jitter = period_jitter
         self.codec = WireCodec(max_datagram)
+        self._faults: dict[str, Any] | None = None
+        if drop_rate > 0.0 or reorder_rate > 0.0 or delay_range is not None:
+            self._faults = {
+                "drop_rate": drop_rate,
+                "delay_range": delay_range,
+                "reorder_rate": reorder_rate,
+            }
+        self._options: dict[str, Any] = {
+            "codec": self.codec,
+            "gossip_period": gossip_period,
+            "period_jitter": period_jitter,
+            "neighbour_sample": neighbour_sample,
+            "sanitize": sanitize,
+            "max_inflight": max_inflight,
+            "transport_options": transport_options,
+        }
         self.daemons: list[NodeDaemon] = []
-        faulty = drop_rate > 0.0 or reorder_rate > 0.0 or delay_range is not None
-        for node_id, node_values in enumerate(per_node):
-            fault = None
-            if faulty:
-                fault = FaultInjector(
-                    spawn(rng),
-                    drop_rate=drop_rate,
-                    delay_range=delay_range,
-                    reorder_rate=reorder_rate,
-                )
-            self.daemons.append(NodeDaemon(
-                node_id,
-                node_values,
-                config,
-                spawn(rng),
-                codec=self.codec,
-                gossip_period=gossip_period,
-                period_jitter=period_jitter,
-                neighbour_sample=neighbour_sample,
-                sanitize=sanitize,
-                max_inflight=max_inflight,
-                fault=fault,
-                transport_options=transport_options,
-            ))
+        for node_values in per_node:
+            self.daemons.append(self._daemon(node_values))
+
+    def _daemon(self, values: np.ndarray) -> NodeDaemon:
+        """The next node's daemon, its generators spawned from the cluster's."""
+        fault = None
+        if self._faults is not None:
+            fault = FaultInjector(spawn(self.rng), **self._faults)
+        return NodeDaemon(
+            len(self.daemons),
+            values,
+            self.config,
+            spawn(self.rng),
+            fault=fault,
+            **self._options,
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -130,6 +139,17 @@ class LocalCluster:
         """Close every daemon's socket and cancel in-flight work."""
         for daemon in self.daemons:
             daemon.close()
+
+    async def join(self, values: float | np.ndarray) -> NodeDaemon:
+        """Add one node: bind its daemon and mesh it with every live node,
+        both ways.  It gossips from the next :meth:`run_rounds` call."""
+        daemon = self._daemon(np.atleast_1d(np.asarray(values, dtype=float)))
+        await daemon.open(self.host, 0)
+        for peer in self.live_daemons():
+            peer.add_peer(daemon.node_id, daemon.address)
+            daemon.add_peer(peer.node_id, peer.address)
+        self.daemons.append(daemon)
+        return daemon
 
     def crash(self, node_id: int) -> None:
         """Fail-stop one node; peers only ever see timeouts."""

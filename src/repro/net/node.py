@@ -7,7 +7,7 @@ A :class:`NodeDaemon` wires the engine-independent protocol core
   :class:`~repro.net.peers.PeerDirectory` of gossip partners;
 * a **gossip timer** fires every ``gossip_period`` seconds (jittered so
   peers desynchronise); each fire is one local round — TTLs count these
-  fires, exactly like the asynchronous simulator's per-node clocks.
+  fires, on real time or on :mod:`repro.net.virtual`'s jumping clock.
   :func:`run_timers` drives it: one ``call_later`` handle per daemon,
   re-armed from its own callback (no task, sleep or gather per fire);
 * each fire sends one bounded-background **push** at a selected peer:
@@ -23,7 +23,9 @@ A :class:`NodeDaemon` wires the engine-independent protocol core
 * the **neighbour bootstrap** collects attribute values from sampled
   peers over real sample round-trips before starting an instance;
 * with ``sanitize=True`` every delivery is bracketed by the shared
-  mass-conservation checks from :mod:`repro.lint.sanitizer`.
+  mass-conservation checks from :mod:`repro.lint.sanitizer`; the first
+  violation, on either side of an exchange, is raised by the daemon's
+  next tick (failing the :func:`run_timers` caller) or by :meth:`drain`.
 
 The daemon can also run as its own OS process:
 ``python -m repro.net.node --spec spec.json`` executes one node from a
@@ -45,7 +47,7 @@ from repro.core.config import Adam2Config, bootstrap_sample_size
 from repro.core.instance import InstanceState
 from repro.core.node import Adam2Node
 from repro.errors import NetworkError
-from repro.lint.sanitizer import checked_delivery, sanitize_enabled
+from repro.lint.sanitizer import InvariantViolation, checked_delivery, sanitize_enabled
 from repro.net.codec import MSG_PULL, MSG_PUSH, MSG_SAMPLE_REQUEST, Message, WireCodec
 from repro.net.faults import FaultInjector
 from repro.net.peers import PeerDirectory, PeerRecord
@@ -67,7 +69,7 @@ class NodeDaemon:
         codec: shared wire codec (one version, one budget per cluster).
         gossip_period: seconds between local gossip-timer fires.
         period_jitter: uniform fraction by which each period varies,
-            desynchronising peers (like the async engine's clock drift).
+            desynchronising peers as real clocks drift.
         scheduler: ``"manual"`` (instances via :meth:`trigger_instance`)
             or ``"probabilistic"`` (the paper's self-selection).
         neighbour_sample: peers sampled for the value bootstrap.
@@ -135,6 +137,9 @@ class NodeDaemon:
         #: unexpected exceptions on the push path (encode, merge, bootstrap)
         self.push_errors = 0
         self._inflight: set[asyncio.Future[Any]] = set()
+        #: the first sanitizer violation a delivery raised, until a tick
+        #: or drain() raises it to the awaiting caller
+        self._violation: InvariantViolation | None = None
         #: the pull records of the push being handled (see _merge)
         self._reply: list[bytes] = []
         self._running = False
@@ -174,9 +179,12 @@ class NodeDaemon:
         await run_timers([self], rounds)
 
     async def drain(self) -> None:
-        """Wait for in-flight pushes to complete (or fail their retries)."""
+        """Wait for in-flight pushes to complete (or fail their retries);
+        raises the first sanitizer violation a delivery met."""
         while self._inflight:
             await asyncio.gather(*tuple(self._inflight), return_exceptions=True)
+        if self._violation is not None:
+            raise self._violation
 
     def close(self) -> None:
         """Close the socket and cancel in-flight pushes."""
@@ -199,6 +207,10 @@ class NodeDaemon:
     # ------------------------------------------------------------------
 
     def _tick(self) -> None:
+        if self._violation is not None:
+            # Deliveries run in transport callbacks, with no caller to
+            # raise into: the tick raises for them, to run_timers' caller.
+            raise self._violation
         self.rounds += 1
         self.adam2.end_of_round(self.rounds)
         if self.scheduler == "probabilistic" and self.adam2.should_start_instance():
@@ -268,7 +280,7 @@ class NodeDaemon:
         self.directory.mark_alive(peer_id)
         try:
             self._merge(pull.result().states)
-        except Exception as exc:  # e.g. a sanitizer violation
+        except Exception as exc:
             self._push_failed(exc)
 
     # ------------------------------------------------------------------
@@ -309,8 +321,12 @@ class NodeDaemon:
         if not self.sanitize:
             self.adam2.receive(states, self.rounds, before_merge)
             return
-        with checked_delivery(self.adam2, states, backend="net", round_index=self.rounds):
-            self.adam2.receive(states, self.rounds, before_merge)
+        try:
+            with checked_delivery(self.adam2, states, backend="net", round_index=self.rounds):
+                self.adam2.receive(states, self.rounds, before_merge)
+        except InvariantViolation as exc:
+            if self._violation is None:
+                self._violation = exc
 
     def _pull_record(self, iid: Hashable, local: InstanceState) -> None:
         # Called after the join and before the merge: the bytes are the

@@ -9,9 +9,9 @@ import pytest
 
 from repro.api import get_backend, list_backends, run
 from repro.api.result import summarise_completed
-from repro.asyncsim.engine import AsyncEngine
 from repro.core.config import Adam2Config
 from repro.errors import ConfigurationError, SimulationError
+from repro.net.cluster import LocalCluster
 from repro.rngs import make_rng
 from repro.simulation.runner import build_engine
 from repro.workloads import lognormal_workload
@@ -105,8 +105,8 @@ class TestDefaultsDeclaredOnce:
     @pytest.mark.parametrize("backend, owners, numeric", [
         ("round", (build_engine, summarise_completed),
          {"degree", "loss_rate", "node_sample"}),
-        ("async", (AsyncEngine, summarise_completed),
-         {"gossip_period", "period_jitter", "loss_rate", "node_sample"}),
+        ("async", (LocalCluster, summarise_completed),
+         {"gossip_period", "period_jitter", "drop_rate", "node_sample"}),
     ])
     def test_spelling_out_the_declared_defaults_changes_nothing(
         self, backend, owners, numeric

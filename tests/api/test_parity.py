@@ -1,10 +1,12 @@
 """Backend parity: the same spec converges to the same answer everywhere.
 
-The three backends share no simulation code — the fast backend is a
-vectorised matrix loop, the round backend schedules per-node exchanges,
-the async backend runs an event queue with latency and clock jitter.
+The three backends share no substrate code — the fast backend is a
+vectorised matrix loop, the round backend schedules per-node exchanges
+in lock-step rounds, the async backend runs the net node daemons (wire
+codec, retrying transport, jittered per-node clocks) on virtual time.
 Agreement between them on the *converged* estimate is therefore a strong
-end-to-end check of all three.
+end-to-end check of all three.  (``net`` is ``async`` on real sockets:
+tests/net/test_parity.py compares those two.)
 """
 
 from __future__ import annotations

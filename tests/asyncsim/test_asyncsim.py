@@ -1,226 +1,284 @@
-"""Tests for the asynchronous event-driven simulator."""
+"""The asynchronous substrate: the net node daemons on virtual time.
+
+``backend="async"`` runs :class:`~repro.net.cluster.LocalCluster` on a
+:class:`~repro.net.virtual.VirtualLoop`: per-node jittered gossip
+clocks, a push that carries live states and a pull that carries the
+responder's pre-merge states, seeded delay and loss from the fault
+injector — the production daemon, transport and codec, with no global
+rounds and no real sockets.
+"""
+
+import asyncio
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
-from repro.rngs import make_rng
-from repro.asyncsim.adam2 import AsyncAdam2
-from repro.asyncsim.engine import AsyncEngine, AsyncProtocol, LatencyModel
-from repro.asyncsim.events import EventQueue
+from repro.api import run
 from repro.core import Adam2Config, EmpiricalCDF
-from repro.overlay.random_graph import FullMeshOverlay
+from repro.errors import ConfigurationError, NetworkError
+from repro.net.cluster import LocalCluster
+from repro.net.faults import FaultInjector
+from repro.net.node import NodeDaemon, run_timers
+from repro.net.virtual import run_virtual
+from repro.rngs import make_rng, spawn
 from repro.workloads import boinc_ram_mb
 from repro.workloads.synthetic import uniform_workload
 
+CONFIG = Adam2Config(points=15, rounds_per_instance=30)
+
+
+def virtual(scenario):
+    """Run ``scenario(cluster)`` against ``cluster`` on virtual time."""
+
+    def decorate(cluster: LocalCluster):
+        async def main():
+            async with cluster:
+                await scenario(cluster)
+            return cluster
+
+        return run_virtual(main())
+
+    return decorate
+
+
+def estimates(cluster: LocalCluster):
+    return [
+        adam2.current_estimate
+        for adam2 in cluster.adam2_nodes()
+        if adam2.current_estimate is not None
+    ]
+
 
 class TestEventQueue:
-    def test_fires_in_time_order(self):
-        queue = EventQueue()
+    """The event queue is the virtual loop's timer heap."""
+
+    @staticmethod
+    def fired(schedule, until=10.0):
         log = []
-        queue.schedule(2.0, lambda: log.append("b"))
-        queue.schedule(1.0, lambda: log.append("a"))
-        queue.schedule(3.0, lambda: log.append("c"))
-        queue.run_until(10.0)
-        assert log == ["a", "b", "c"]
-        assert queue.now == 10.0
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            schedule(loop, lambda tag: log.append((tag, loop.time())))
+            await asyncio.sleep(until)
+            return loop.time()
+
+        return log, run_virtual(main())
+
+    def test_fires_in_time_order(self):
+        def schedule(loop, record):
+            for at, tag in ((2.0, "b"), (1.0, "a"), (3.0, "c")):
+                loop.call_at(at, record, tag)
+
+        log, now = self.fired(schedule)
+        assert log == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
+        assert now == 10.0
 
     def test_ties_fire_in_insertion_order(self):
-        queue = EventQueue()
-        log = []
-        queue.schedule(1.0, lambda: log.append(1))
-        queue.schedule(1.0, lambda: log.append(2))
-        queue.run_until(1.0)
-        assert log == [1, 2]
+        def schedule(loop, record):
+            loop.call_at(1.0, record, 1)
+            loop.call_at(1.0, record, 2)
+
+        log, _ = self.fired(schedule, until=1.0)
+        assert log == [(1, 1.0), (2, 1.0)]
 
     def test_deadline_respected(self):
-        queue = EventQueue()
-        log = []
-        queue.schedule(1.0, lambda: log.append(1))
-        queue.schedule(5.0, lambda: log.append(5))
-        fired = queue.run_until(2.0)
-        assert fired == 1
-        assert log == [1]
-        assert len(queue) == 1
+        def schedule(loop, record):
+            loop.call_at(1.0, record, 1)
+            loop.call_at(5.0, record, 5)
 
-    def test_past_scheduling_rejected(self):
-        queue = EventQueue()
-        queue.schedule(1.0, lambda: None)
-        queue.run_until(2.0)
-        with pytest.raises(SimulationError):
-            queue.schedule(1.5, lambda: None)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            EventQueue().schedule_in(-1.0, lambda: None)
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_event_budget(self):
-        queue = EventQueue()
-
-        def rearm():
-            queue.schedule_in(0.1, rearm)
-
-        rearm()
-        with pytest.raises(SimulationError):
-            queue.run_until(1e9, max_events=100)
+        log, now = self.fired(schedule, until=2.0)
+        assert log == [(1, 1.0)]
+        assert now == 2.0
+        assert self.fired(schedule, until=5.0)[0] == [(1, 1.0), (5, 5.0)]
 
 
 class TestLatencyModel:
+    """Latency is the fault injector's ``delay_range``, timed by the loop."""
+
+    @staticmethod
+    def delays(delay_range, count=100):
+        async def main():
+            loop = asyncio.get_running_loop()
+            fault = FaultInjector(make_rng(1), delay_range=delay_range)
+            delays = []
+            for _ in range(count):
+                sent = loop.time()
+                fault.send(lambda d, a, sent=sent: delays.append(loop.time() - sent), b"x", ("h", 1))
+                await asyncio.sleep(0.013)
+            await asyncio.sleep(1.0)
+            return delays
+
+        return run_virtual(main())
+
     def test_samples_in_range(self):
-        model = LatencyModel(0.01, 0.05)
-        rng = make_rng(1)
-        for _ in range(100):
-            assert 0.01 <= model.sample(rng) <= 0.05
+        delays = self.delays((0.01, 0.05))
+        assert len(delays) == 100
+        assert all(0.01 - 1e-12 <= d <= 0.05 + 1e-12 for d in delays)
+        assert max(delays) - min(delays) > 0.02  # spread over the range
 
     def test_degenerate(self):
-        assert LatencyModel(0.1, 0.1).sample(make_rng(0)) == 0.1
+        assert self.delays((0.1, 0.1), count=5) == pytest.approx([0.1] * 5, abs=1e-12)
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
-            LatencyModel(0.5, 0.1)
-
-
-class _EchoProtocol(AsyncProtocol):
-    """Counts timer fires and deliveries."""
-
-    name = "echo"
-
-    def __init__(self):
-        self.timers = 0
-        self.requests = 0
-        self.responses = 0
-
-    def on_node_added(self, node, engine):
-        node.state[self.name] = True
-
-    def on_timer(self, node, engine):
-        self.timers += 1
-        return {"from": node.node_id}
-
-    def on_request(self, node, payload, engine):
-        self.requests += 1
-        return {"ack": node.node_id}
-
-    def on_response(self, node, payload, engine):
-        self.responses += 1
+            run(CONFIG, uniform_workload(0, 100), backend="async", n_nodes=8,
+                delay_range=(0.5, 0.1))
 
 
 class TestAsyncEngine:
-    def _engine(self, n=10, **kwargs):
-        rng = make_rng(3)
-        protocol = _EchoProtocol()
-        engine = AsyncEngine(FullMeshOverlay([]), protocol, rng, **kwargs)
-        engine.populate(uniform_workload(0, 100).sample(n, make_rng(4)))
-        return engine, protocol
+    """The daemons' clocks, exchanges, loss and accounting on virtual time."""
+
+    @staticmethod
+    def cluster(n=10, **options):
+        values = uniform_workload(0, 100).sample(n, make_rng(4))
+        return LocalCluster(values, CONFIG, make_rng(3), gossip_period=1.0, **options)
 
     def test_timers_fire_per_period(self):
-        engine, protocol = self._engine(10, gossip_period=1.0, period_jitter=0.0)
-        engine.run_for(5.4)
-        # Each node fires once per second after a random initial phase.
-        assert 40 <= protocol.timers <= 60
+        @virtual
+        async def scenario(cluster):
+            await cluster.run_rounds(5)
+            # no jitter: every clock fires at 1, 2, ..., 5 exactly
+            assert asyncio.get_running_loop().time() == 5.0
+
+        cluster = scenario(self.cluster(10, period_jitter=0.0))
+        assert [d.rounds for d in cluster.daemons] == [5] * 10
 
     def test_request_response_roundtrip(self):
-        engine, protocol = self._engine(10)
-        engine.run_for(5.0)
-        assert protocol.requests > 0
-        # No loss configured: every request gets a response, modulo the
-        # handful still in flight at the cutoff.
-        assert protocol.requests - protocol.responses <= 3
+        @virtual
+        async def scenario(cluster):
+            await cluster.trigger_instance()
+            await cluster.run_rounds(5)
+            await cluster.drain()
+
+        counters = scenario(self.cluster(10)).counters()
+        assert counters["messages_sent"] > 0
+        # No loss configured: every datagram lands and every push is answered.
+        assert counters["messages_received"] == counters["messages_sent"]
+        assert counters["retries"] == counters["timeouts"] == 0
+        assert counters["push_failures"] == 0
 
     def test_message_loss(self):
-        engine, protocol = self._engine(20, loss_rate=0.5)
-        engine.run_for(10.0)
-        assert engine.messages_lost > 0
-        assert protocol.responses < protocol.requests + protocol.timers
+        @virtual
+        async def scenario(cluster):
+            await cluster.trigger_instance()
+            await cluster.run_rounds(10)
+            await cluster.drain()
+
+        counters = scenario(self.cluster(20, drop_rate=0.5)).counters()
+        assert counters["dropped"] > 0 and counters["retries"] > 0
+        assert counters["messages_received"] == counters["messages_sent"] - counters["dropped"]
 
     def test_remove_node_kills_timer(self):
-        engine, protocol = self._engine(5)
-        victim = next(iter(engine.nodes))
-        engine.remove_node(victim)
-        engine.run_for(3.0)
-        assert victim not in engine.nodes
+        @virtual
+        async def scenario(cluster):
+            cluster.crash(2)
+            await cluster.run_rounds(3)
 
-    def test_remove_unknown_raises(self):
-        engine, _ = self._engine(3)
-        with pytest.raises(SimulationError):
-            engine.remove_node(12345)
+        cluster = scenario(self.cluster(5))
+        assert [d.rounds for d in cluster.daemons] == [3, 3, 0, 3, 3]
+        assert 2 not in {d.node_id for d in cluster.live_daemons()}
 
     def test_invalid_params(self):
-        rng = make_rng(0)
+        def attempt(**options):
+            run(CONFIG, uniform_workload(0, 100), backend="async", n_nodes=8, **options)
+
+        with pytest.raises(NetworkError):
+            attempt(gossip_period=0.0)
+        with pytest.raises(NetworkError):
+            attempt(period_jitter=1.0)
         with pytest.raises(ConfigurationError):
-            AsyncEngine(FullMeshOverlay([]), _EchoProtocol(), rng, gossip_period=0.0)
-        with pytest.raises(ConfigurationError):
-            AsyncEngine(FullMeshOverlay([]), _EchoProtocol(), rng, period_jitter=1.0)
-        with pytest.raises(ConfigurationError):
-            AsyncEngine(FullMeshOverlay([]), _EchoProtocol(), rng, loss_rate=1.0)
+            attempt(drop_rate=1.0)
+        # latency and loss are spelled delay_range and drop_rate here
+        with pytest.raises(ConfigurationError, match="latency"):
+            attempt(latency=(0.02, 0.2))
+        with pytest.raises(ConfigurationError, match="loss_rate"):
+            attempt(loss_rate=0.1)
 
     def test_accounting(self):
-        engine, _ = self._engine(10)
-        engine.run_for(3.0)
-        assert engine.messages_sent > 0
-        assert engine.bytes_sent >= engine.messages_sent * 64
+        @virtual
+        async def scenario(cluster):
+            await cluster.trigger_instance()
+            await cluster.run_rounds(3)
+            await cluster.drain()
+
+        messages, bytes_ = scenario(self.cluster(10)).traffic()
+        assert messages > 0
+        assert bytes_ >= messages * 16  # every datagram carries a header
 
 
 class TestAsyncAdam2:
-    def _run(self, latency=LatencyModel(0.02, 0.2), loss_rate=0.0, n=200, duration=40.0):
-        rng = make_rng(5)
-        config = Adam2Config(points=15, rounds_per_instance=30)
-        protocol = AsyncAdam2(config, scheduler="manual")
-        engine = AsyncEngine(
-            FullMeshOverlay([]), protocol, rng,
-            gossip_period=1.0, period_jitter=0.1, latency=latency, loss_rate=loss_rate,
+    @staticmethod
+    def _run(drop_rate=0.0, n=200, rounds=40):
+        cluster = LocalCluster(
+            boinc_ram_mb().sample(n, make_rng(6)), CONFIG, make_rng(5),
+            gossip_period=1.0, delay_range=(0.02, 0.2), drop_rate=drop_rate,
+            transport_options={"request_timeout": 0.5},
         )
-        engine.populate(boinc_ram_mb().sample(n, make_rng(6)))
-        engine.run_for(2.0)
-        protocol.trigger_instance(engine)
-        engine.run_for(duration)
-        return engine, protocol
 
-    def test_all_nodes_estimate(self):
-        engine, protocol = self._run()
-        assert len(protocol.estimates(engine)) == 200
+        @virtual
+        async def scenario(cluster):
+            await cluster.run_rounds(2)
+            await cluster.trigger_instance()
+            await cluster.run_rounds(rounds)
+            await cluster.drain()
 
-    def test_accuracy_at_points(self):
-        engine, protocol = self._run()
-        truth = EmpiricalCDF(engine.attribute_values())
+        return scenario(cluster)
+
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        return self._run()
+
+    def test_all_nodes_estimate(self, cluster):
+        assert len(estimates(cluster)) == 200
+
+    def test_accuracy_at_points(self, cluster):
+        truth = EmpiricalCDF(cluster.attribute_values())
         worst = max(
             np.abs(truth.evaluate(e.thresholds) - e.fractions).max()
-            for e in protocol.estimates(engine)[:40]
+            for e in estimates(cluster)[:40]
         )
         assert worst < 0.01  # far below the interpolation error
 
-    def test_size_estimation(self):
-        engine, protocol = self._run()
-        sizes = [a.size_estimate for a in protocol.adam2_nodes(engine) if a.current_estimate]
+    def test_size_estimation(self, cluster):
+        sizes = [a.size_estimate for a in cluster.adam2_nodes() if a.current_estimate]
         assert np.median(sizes) == pytest.approx(200.0, rel=0.1)
 
     def test_survives_message_loss(self):
-        engine, protocol = self._run(loss_rate=0.2, duration=50.0)
-        truth = EmpiricalCDF(engine.attribute_values())
-        estimates = protocol.estimates(engine)
-        assert len(estimates) >= 195
-        worst = max(
-            np.abs(truth.evaluate(e.thresholds) - e.fractions).max() for e in estimates[:30]
-        )
+        cluster = self._run(drop_rate=0.2, rounds=50)
+        truth = EmpiricalCDF(cluster.attribute_values())
+        found = estimates(cluster)
+        assert len(found) >= 195
+        worst = max(np.abs(truth.evaluate(e.thresholds) - e.fractions).max() for e in found[:30])
         assert worst < 0.05
 
     def test_no_rejoin_after_termination(self):
-        engine, protocol = self._run(duration=60.0)
-        for adam2 in protocol.adam2_nodes(engine):
+        cluster = self._run(rounds=60)
+        for adam2 in cluster.adam2_nodes():
             assert not adam2.instances  # everything cleanly terminated
             assert len(adam2.completed) == 1
 
     def test_probabilistic_scheduler(self):
-        rng = make_rng(7)
         config = Adam2Config(
             points=8, rounds_per_instance=15, instance_frequency=2, initial_size_estimate=20.0
         )
-        protocol = AsyncAdam2(config, scheduler="probabilistic")
-        engine = AsyncEngine(FullMeshOverlay([]), protocol, rng, gossip_period=1.0)
-        engine.populate(uniform_workload(0, 100).sample(60, make_rng(8)))
-        engine.run_for(60.0)
-        assert len(protocol.estimates(engine)) == 60
+        rng = make_rng(7)
+        daemons = [
+            NodeDaemon(node_id, value, config, spawn(rng),
+                       gossip_period=1.0, scheduler="probabilistic")
+            for node_id, value in enumerate(uniform_workload(0, 100).sample(60, make_rng(8)))
+        ]
+
+        async def main():
+            for daemon in daemons:
+                await daemon.open()
+            for daemon in daemons:
+                for peer in daemons:
+                    if peer is not daemon:
+                        daemon.add_peer(peer.node_id, peer.address)
+            await run_timers(daemons, 60)
+            for daemon in daemons:
+                await daemon.drain()
+                daemon.close()
+
+        run_virtual(main())
+        assert all(d.adam2.current_estimate is not None for d in daemons)

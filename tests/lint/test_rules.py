@@ -313,7 +313,7 @@ class TestADM008NetOutsideRuntime:
             def run_round(engine):
                 engine.started = time.monotonic()
         """
-        assert "ADM008" in codes(src, path="src/repro/asyncsim/engine.py")
+        assert "ADM008" in codes(src, path="src/repro/simulation/engine.py")
 
     def test_net_package_exempt(self):
         src = """

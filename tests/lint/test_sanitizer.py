@@ -1,5 +1,5 @@
 """Runtime sanitizer integration: injected invariant violations must be
-caught in all three backends, and declared non-conserving modes must be
+caught on every backend, and declared non-conserving modes must be
 whitelisted by declaration, not silently."""
 
 from __future__ import annotations
@@ -7,15 +7,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import run
 from repro.core.config import Adam2Config
 from repro.core.conservation import (
     NON_CONSERVING_MODES,
     is_mass_conserving,
     non_conserving_reason,
 )
+from repro.core.node import Adam2Node
 from repro.core.protocol import Adam2Protocol
-from repro.asyncsim.adam2 import AsyncAdam2
-from repro.asyncsim.engine import AsyncEngine
 from repro.fastsim.adam2 import Adam2Simulation
 from repro.fastsim.exchange import sequential_round
 from repro.lint.sanitizer import (
@@ -24,7 +24,6 @@ from repro.lint.sanitizer import (
     InvariantViolation,
     sanitize_enabled,
 )
-from repro.overlay.random_graph import FullMeshOverlay
 from repro.rngs import make_rng
 from repro.simulation.runner import build_engine
 from repro.workloads.synthetic import uniform_workload
@@ -198,45 +197,56 @@ def test_simulation_engine_detects_payload_violation():
 
 
 # ---------------------------------------------------------------------
-# Async backend
+# Node-daemon backends (async = net on virtual time)
 # ---------------------------------------------------------------------
 
 
-class LeakyAsyncAdam2(AsyncAdam2):
-    """Async Adam2 whose request handling inflates local fraction mass."""
+def _leak_on(side: str):
+    """An ``Adam2Node.receive`` that inflates local fraction mass after
+    the real receive step, on one side of the push-pull exchange: the
+    responder handles a push (it passes ``before_merge``), the initiator
+    a pull (it does not)."""
+    receive = Adam2Node.receive
 
-    def on_request(self, node, payload, engine):
-        response = super().on_request(node, payload, engine)
-        adam2 = node.state[self.name]
-        for state in adam2.instances.values():
-            state.h.fractions = state.h.fractions * 1.1 + 1e-3
-        return response
+    def leaky(self, states, round_=0, before_merge=None):
+        receive(self, states, round_, before_merge)
+        if (before_merge is not None) == (side == "responder"):
+            for state in self.instances.values():
+                state.h.fractions = state.h.fractions * 1.1 + 1e-3
 
-
-def _async_engine(protocol) -> AsyncEngine:
-    rng = make_rng(11)
-    values = uniform_workload(0, 1000).sample(16, rng)
-    engine = AsyncEngine(FullMeshOverlay(), protocol, rng, sanitize=True)
-    engine.populate(values)
-    return engine
+    return leaky
 
 
-def test_asyncsim_detects_mass_leak():
-    protocol = LeakyAsyncAdam2(CONFIG)
-    engine = _async_engine(protocol)
-    protocol.trigger_instance(engine)
+def _daemon_run(backend: str, **options):
+    return run(
+        CONFIG, uniform_workload(0, 1000), backend=backend, n_nodes=16, seed=11,
+        sanitize=True, **options,
+    )
+
+
+def test_asyncsim_detects_mass_leak(monkeypatch):
+    monkeypatch.setattr(Adam2Node, "receive", _leak_on("responder"))
     with pytest.raises(InvariantViolation) as exc:
-        engine.run_for(10.0)
+        _daemon_run("async", delay_range=(0.005, 0.03))
     assert exc.value.invariant == "mass-conservation"
-    assert exc.value.backend == "asyncsim"
+    assert exc.value.backend == "net"
 
 
 def test_asyncsim_clean_run_passes():
-    protocol = AsyncAdam2(CONFIG)
-    engine = _async_engine(protocol)
-    protocol.trigger_instance(engine)
-    engine.run_for(float(CONFIG.rounds_per_instance + 2))
-    assert protocol.estimates(engine)
+    result = _daemon_run("async", delay_range=(0.005, 0.03))
+    assert result.final.reached > 0
+    assert result.extras["net_counters"]["push_errors"] == 0
+
+
+@pytest.mark.parametrize("side", ["responder", "initiator"])
+def test_net_run_fails_on_a_mass_leak(monkeypatch, side):
+    """A violation in a transport callback reaches run()'s caller, from
+    either side of the exchange, instead of a push-error count."""
+    monkeypatch.setattr(Adam2Node, "receive", _leak_on(side))
+    with pytest.raises(InvariantViolation) as exc:
+        _daemon_run("net", gossip_period=0.01)
+    assert exc.value.invariant == "mass-conservation"
+    assert exc.value.backend == "net"
 
 
 # ---------------------------------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import time
 import weakref
 
 import numpy as np
@@ -20,12 +19,14 @@ from repro.net.cluster import (
 from repro.net.codec import MSG_PULL, MSG_PUSH
 from repro.net.node import NodeDaemon
 from repro.net.peers import PeerDirectory
+from repro.net.virtual import run_virtual
 from repro.rngs import make_rng, spawn
 
 FAST = {"request_timeout": 0.05, "max_retries": 2}
 
 
 def run(coro):
+    """On kernel sockets and the wall clock (``run_virtual``: neither)."""
     return asyncio.run(coro)
 
 
@@ -133,7 +134,7 @@ class TestNodeDaemon:
                 a.close()
                 b.close()
 
-        run(scenario())
+        run_virtual(scenario())
 
 
 class TestExchange:
@@ -255,7 +256,7 @@ class TestLocalCluster:
             assert counters["push_failures"] == 0
             assert counters["pushes_skipped"] == 0
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_skipped_pushes_are_aggregated(self):
         async def scenario():
@@ -272,7 +273,7 @@ class TestLocalCluster:
                 assert skipped > 0
                 assert cluster.counters()["pushes_skipped"] == skipped
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_cluster_runs_instance_to_completion(self):
         async def scenario():
@@ -294,7 +295,7 @@ class TestLocalCluster:
             assert counters["messages_sent"] > 0
             assert counters["decode_errors"] == 0
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_crash_excludes_node_from_liveness(self):
         async def scenario():
@@ -310,7 +311,7 @@ class TestLocalCluster:
                 with pytest.raises(NetworkError, match="crashed"):
                     await cluster.trigger_instance(3)
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_needs_two_nodes(self):
         with pytest.raises(NetworkError):
@@ -347,15 +348,16 @@ class TestGossipClock:
                 await cluster.run_rounds(10)
             return cluster, fires
 
-        cluster, fires = run(scenario())
-        resolution = time.get_clock_info("monotonic").resolution
+        cluster, fires = run_virtual(scenario())
         assert fires[4] == [] and cluster.daemons[4].rounds == 0
         for daemon in cluster.daemons[:4]:
             times = fires[daemon.node_id]
             assert len(times) == daemon.rounds == 10
-            # Re-armed once its tick returned: a gap is at least the
-            # shortest jittered period, less the loop's early-fire slack.
-            assert np.diff(times).min() >= daemon.gossip_period * (1 - jitter) - resolution
+            # Re-armed once its tick returned: on virtual time a gap is a
+            # jittered period exactly, so never below the shortest one.
+            gaps = np.diff(times)
+            assert gaps.min() >= daemon.gossip_period * (1 - jitter)
+            assert gaps.max() <= daemon.gossip_period * (1 + jitter)
         # No round barrier: the fast daemon's 10 fires all come before
         # any other daemon's 5th (a barrier would hold it to their 9th).
         assert fires[0][-1] < min(fires[i][4] for i in (1, 2, 3))
@@ -380,7 +382,7 @@ class TestGossipClock:
                 assert [d.rounds for d in cluster.daemons] == rounds
                 assert not any(d._running for d in cluster.daemons)
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_a_running_daemon_refuses_a_second_run(self):
         async def scenario():
@@ -398,7 +400,7 @@ class TestGossipClock:
                 assert [d.rounds for d in cluster.daemons] == [0, 0, 3]
                 assert not any(d._running for d in cluster.daemons)
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_a_crash_stops_the_timer_at_once(self):
         async def scenario():
@@ -424,7 +426,7 @@ class TestGossipClock:
                 await cluster.drain()
             return at_crash, [d.rounds for d in cluster.daemons]
 
-        at_crash, rounds = run(scenario())
+        at_crash, rounds = run_virtual(scenario())
         assert at_crash == [1]
         assert rounds == [3, 1, 3]
 

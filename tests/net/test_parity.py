@@ -1,11 +1,13 @@
-"""Simulator/network parity: the net backend estimates what the async
-simulator estimates, and handles each delivered message the same way.
+"""Real sockets against virtual time: ``net`` estimates what ``async``
+estimates, and the daemon's delivery over bytes is the core's receive step.
 
-Both backends spawn their population from the same seed in the same
-order, so they aggregate the *same* 32 attribute values; on a loss-free
-localhost cluster the real-network run must land within 2x of the
-discrete-event simulator's final CDF max-error.  This is the test that
-keeps the simulators honest as the network runtime's deterministic twin.
+``async`` is the ``net`` backend's own code on virtual time: both run
+the same daemons, transport and codec, and spawn their population from
+the same seed in the same order, so they aggregate the *same* 32
+attribute values.  What differs is the substrate — kernel sockets and
+the wall clock against the in-memory fabric and the jumping clock — so
+on a loss-free localhost cluster the real-socket run must land within
+2x of the virtual run's final CDF max-error.
 """
 
 from __future__ import annotations
@@ -14,13 +16,10 @@ import numpy as np
 import pytest
 
 from repro.api import run
-from repro.asyncsim.adam2 import AsyncAdam2
-from repro.asyncsim.engine import AsyncEngine
 from repro.core.config import Adam2Config
 from repro.core.node import Adam2Node
 from repro.net.codec import MSG_PULL, MSG_PUSH
 from repro.net.node import NodeDaemon
-from repro.overlay.random_graph import FullMeshOverlay
 from repro.rngs import make_rng, spawn
 from repro.workloads.synthetic import uniform_workload
 
@@ -54,8 +53,8 @@ def test_net_matches_async_within_2x():
     net_err = net_summary.errors_entire.maximum
     assert 0.0 < async_err < 1.0
     assert net_err <= 2.0 * async_err, (
-        f"net backend err_max {net_err:.4f} exceeds twice the async "
-        f"simulator's {async_err:.4f} on a loss-free cluster"
+        f"net backend err_max {net_err:.4f} exceeds twice the virtual-time "
+        f"run's {async_err:.4f} on a loss-free cluster"
     )
 
 
@@ -93,19 +92,17 @@ def _table(states):
 
 
 @pytest.mark.parametrize("sanitize", [False, True])
-def test_a_delivery_leaves_the_same_state_and_reply_on_async_and_net(sanitize):
-    """Both message substrates run the core's receive step: a push handed
-    to an ``AsyncAdam2`` node and (over bytes, socket-free) to a
-    ``NodeDaemon`` joins, skips, merges and replies identically."""
+def test_a_delivery_over_bytes_leaves_the_core_receive_steps_state_and_reply(sanitize):
+    """A push handed (socket-free) to a ``NodeDaemon`` joins, skips,
+    merges and replies exactly as the core's receive step applied in
+    memory to a twin ``Adam2Node``: the codec round trip, the pre-merge
+    pull records and the piggyback lose nothing and reorder nothing."""
     config = Adam2Config(points=6, verification_points=3, rounds_per_instance=20)
     values = np.array([10.0, 40.0])
     rng = make_rng(5)
 
-    protocol = AsyncAdam2(config)
-    engine = AsyncEngine(FullMeshOverlay([]), protocol, spawn(rng), sanitize=sanitize)
-    sim_node = engine.add_node(values)
-    sim: Adam2Node = sim_node.state[protocol.name]
     daemon = NodeDaemon(7, values, config, spawn(rng), sanitize=sanitize)
+    core = Adam2Node(7, values, config, make_rng(0))
     codec = daemon.codec
 
     first = Adam2Node(1, 70.0, config, spawn(rng))
@@ -118,12 +115,17 @@ def test_a_delivery_leaves_the_same_state_and_reply_on_async_and_net(sanitize):
 
     def deliver(sender: Adam2Node, msg_id: int):
         payload = {iid: state.snapshot() for iid, state in sender.instances.items()}
-        sim_reply = engine.protocol.on_request(sim_node, payload, engine)
+        reply = {}
+        core.receive(payload, before_merge=lambda iid, local: reply.update({iid: local.snapshot()}))
+        reply.update({
+            iid: state for iid, state in core.instances.items()
+            if iid not in reply and iid not in payload
+        })
         push = codec.encode_states(MSG_PUSH, sender.node_id, msg_id, sender.instances)
         pull = codec.decode(daemon.handle_request(codec.decode(push), codec))
         assert pull.kind == MSG_PULL
-        assert _table(pull.states) == _table(sim_reply)
-        assert _table(daemon.adam2.instances) == _table(sim.instances)
+        assert _table(pull.states) == _table(reply)
+        assert _table(daemon.adam2.instances) == _table(core.instances)
         return pull.states
 
     # unknown instance: joined; the reply is the state as joined
@@ -132,11 +134,11 @@ def test_a_delivery_leaves_the_same_state_and_reply_on_async_and_net(sanitize):
     # a second sender: y joined, the expiring one skipped, x piggybacked
     reply = deliver(second, 2)
     assert list(reply) == [y, x]
-    assert set(sim.instances) == {x, y}
+    assert set(core.instances) == {x, y}
     # known instance: plain merge, the reply is the pre-merge state
-    before = sim.instances[x].snapshot()
+    before = core.instances[x].snapshot()
     first.instances[x].ttl -= 3
     reply = deliver(first, 3)
     assert list(reply) == [x, y]
     assert _fields(reply[x]) == _fields(before)
-    assert sim.instances[x].weight == (before.weight + 1.0) / 2
+    assert core.instances[x].weight == (before.weight + 1.0) / 2

@@ -1,7 +1,9 @@
-"""Robustness: the real-network runtime under loss and crash failures.
+"""Robustness: the node-daemon runtime under loss and crash failures.
 
-A 32-node localhost cluster runs one aggregation instance with 5%
-injected datagram loss while two nodes fail-stop mid-instance.  The
+A 32-node cluster runs one aggregation instance with 5% injected
+datagram loss while two nodes fail-stop mid-instance.  It runs on
+virtual time (``backend="async"``): the daemons, transport and retries
+are the ``net`` backend's, and a loaded host cannot skew the timers.  The
 surviving cluster must still converge — every live node terminates with
 a max CDF error below 0.05 at the interpolation points — and the
 mass-conservation sanitizer brackets every merge along the way (the
@@ -25,7 +27,7 @@ def test_converges_under_loss_and_crashes():
     # sanitize=True: any mass-conservation / range / monotonicity
     # violation raises InvariantViolation and fails the test outright.
     result = run(
-        CONFIG, WORKLOAD, backend="net",
+        CONFIG, WORKLOAD, backend="async",
         n_nodes=N_NODES, instances=1, seed=21,
         gossip_period=0.02,
         sanitize=True,

@@ -11,6 +11,7 @@ from repro.errors import NetworkError, TransportTimeout
 from repro.net.codec import Message, WireCodec
 from repro.net.faults import FaultInjector
 from repro.net.transport import UdpTransport
+from repro.net.virtual import run_virtual
 from repro.rngs import make_rng
 
 
@@ -55,6 +56,7 @@ class DropFirst:
 
 
 def run(coro):
+    """On kernel sockets and the wall clock (``run_virtual``: neither)."""
     return asyncio.run(coro)
 
 
@@ -105,7 +107,7 @@ class TestRequestResponse:
                 a.close()
                 b.close()
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_duplicate_msg_id_rejected(self):
         async def scenario():
@@ -126,7 +128,7 @@ class TestRequestResponse:
                 a.close()
                 b.close()
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_close_fails_pending_requests(self):
         async def scenario():
@@ -144,7 +146,7 @@ class TestRequestResponse:
             with pytest.raises(TransportTimeout, match="closed"):
                 await pending
 
-        run(scenario())
+        run_virtual(scenario())
 
 
 class TestRetryAndDedup:
@@ -170,7 +172,7 @@ class TestRetryAndDedup:
                 a.close()
                 b.close()
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_lost_reply_answered_from_cache_without_rerunning_handler(self):
         """At-most-once: a retried request must not re-invoke the handler."""
@@ -196,7 +198,7 @@ class TestRetryAndDedup:
                 a.close()
                 b.close()
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_none_reply_is_also_deduplicated(self):
         """A handler that declines is still not re-invoked on retries."""
@@ -222,7 +224,7 @@ class TestRetryAndDedup:
                 a.close()
                 b.close()
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_malformed_datagram_counted_not_fatal(self):
         async def scenario():
@@ -290,7 +292,7 @@ class TestRetryTimerLifecycle:
                 a.close()
                 b.close()
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_no_retry_after_close(self):
         async def scenario():
@@ -308,7 +310,7 @@ class TestRetryTimerLifecycle:
             assert a.retries == 0 and a.timeouts == 0  # closed, not timed out
             b.close()
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_no_retry_after_the_waiter_is_cancelled(self):
         async def scenario():
@@ -343,7 +345,7 @@ class TestRetryTimerLifecycle:
                 a.close()
                 b.close()
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_total_loss_follows_the_backoff_schedule(self):
         """max_retries + 1 sends, one jitter draw each, then the timeout."""
@@ -371,15 +373,16 @@ class TestRetryTimerLifecycle:
                     for attempt in range(4)
                 ]
                 assert a.rng.random() == reference.random()  # exactly 4 draws
+                # On virtual time the schedule is exact, not merely bounded.
                 marks = fault.sent_at + [finished]
-                assert marks[0] - started < 0.01
+                assert marks[0] == started
                 for wait, earlier, later in zip(waits, marks, marks[1:]):
-                    assert wait - 0.002 <= later - earlier < wait + 0.05
+                    assert later - earlier == pytest.approx(wait, rel=1e-12)
                 await self.settle_and_watch(a)
             finally:
                 a.close()
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_request_on_a_closed_transport_leaves_nothing_armed(self):
         async def scenario():
@@ -420,7 +423,7 @@ class TestFaultInjector:
             await asyncio.sleep(0.05)
             assert sent == [b"payload"]
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_invalid_rates_rejected(self):
         from repro.errors import ConfigurationError

@@ -1,40 +1,19 @@
-"""Further property-based tests: async events, drift, views, state arrays."""
+"""Further property-based tests: drift, views, state arrays.
+
+The event-order properties live with the virtual loop that orders
+events, in tests/net/test_virtual.py."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.asyncsim.events import EventQueue
 from repro.fastsim.exchange import matching_round, sequential_round
 from repro.fastsim.state import BatchState
 from repro.lint.sanitizer import mass_tolerances
 from repro.overlay.view import NodeDescriptor, PartialView
 from repro.rngs import make_rng
 from repro.workloads.dynamic import DriftModel
-
-
-class TestEventQueueProperties:
-    @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=50))
-    def test_events_fire_in_nondecreasing_time(self, times):
-        queue = EventQueue()
-        fired: list[float] = []
-        for t in times:
-            queue.schedule(t, (lambda at: (lambda: fired.append(at)))(t))
-        queue.run_until(max(times))
-        assert fired == sorted(fired)
-        assert len(fired) == len(times)
-
-    @given(
-        st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=1, max_size=30),
-        st.floats(min_value=0, max_value=100, allow_nan=False),
-    )
-    def test_deadline_splits_events_exactly(self, times, deadline):
-        queue = EventQueue()
-        for t in times:
-            queue.schedule(t, lambda: None)
-        fired = queue.run_until(deadline)
-        assert fired == sum(1 for t in times if t <= deadline)
 
 
 class TestDriftProperties:
