@@ -1,69 +1,73 @@
 #!/usr/bin/env python
 """Decentralised load-balance monitoring (the paper's §I motivation).
 
-Every node carries a "load" attribute.  Nodes estimate the global load
-distribution with Adam2 and then decide *locally*, with no coordinator:
+Every node carries a "load" attribute.  The continuous estimation
+service (:func:`repro.api.serve`) keeps an Adam2 estimate of the global
+load distribution, and the paper's §I views are plain functions of its
+queries:
 
-* whether the system is imbalanced (inter-quartile spread of the
-  estimated CDF exceeds a policy threshold), and
-* whether they themselves are overloaded relative to the population
-  (their own rank under the estimated CDF).
+* dispersion — ``quantile(0.9) / quantile(0.5)``; above a policy
+  threshold the system counts as imbalanced;
+* rank — ``cdf(x)``, a load's position in the whole population;
+* slice — ``min(int(k * cdf(x)), k - 1)``, which of ``k``
+  equal-population slices a load falls in (ordered slicing).
 
 The scenario starts balanced, then a flash crowd hits 20 % of the nodes;
-the next aggregation instance lets every node detect the imbalance.
+a service over the new loads detects the imbalance.
 """
 
 import numpy as np
 
-from repro.core import Adam2Config, Adam2Protocol
+from repro.api import serve
+from repro.core import Adam2Config
 from repro.rngs import make_rng
-from repro.simulation import build_engine
+from repro.service import ServiceHandle
+from repro.workloads.base import FixedPopulation
 from repro.workloads.synthetic import normal_workload
 
 N_NODES = 400
 IMBALANCE_POLICY = 3.0  # p90/p50 ratio that counts as imbalanced
+SLICES = 10
 
 
-def report(protocol: Adam2Protocol, engine, label: str) -> None:
-    # Pick an arbitrary node's own estimate: the point of Adam2 is that
-    # every node holds (nearly) the same global picture.
-    node = next(iter(engine.nodes.values()))
-    estimate = node.state[protocol.name].current_estimate
-    p50 = estimate.quantile(0.5)[0]
-    p90 = estimate.quantile(0.9)[0]
-    imbalanced = p90 / max(p50, 1e-9) > IMBALANCE_POLICY
-    own_load = node.value
-    own_rank = estimate.evaluate(np.asarray([own_load]))[0]
-    print(f"{label}")
-    print(f"  estimated median load : {p50:8.1f}")
-    print(f"  estimated p90 load    : {p90:8.1f}")
-    print(f"  imbalance detected    : {'YES' if imbalanced else 'no'} (p90/p50 = {p90 / max(p50, 1e-9):.2f})")
-    print(f"  node {node.node_id}: own load {own_load:.0f} -> rank {own_rank:.2f} "
-          f"({'overloaded' if own_rank > 0.9 else 'normal'})")
-    print()
+def dispersion(handle: ServiceHandle) -> float:
+    return handle.quantile(0.9) / handle.quantile(0.5)
+
+
+def rank(handle: ServiceHandle, load: float) -> float:
+    return handle.cdf(load)
+
+
+def slice_of(handle: ServiceHandle, load: float, slices: int = SLICES) -> int:
+    return min(int(slices * handle.cdf(load)), slices - 1)
+
+
+def report(loads: np.ndarray, label: str) -> None:
+    config = Adam2Config(points=30, rounds_per_instance=25, selection="lcut")
+    with serve(config, FixedPopulation(loads, name="load"), n_nodes=loads.size, seed=7) as handle:
+        ratio = dispersion(handle)
+        own_load = float(loads[0])
+        own_rank = rank(handle, own_load)
+        print(label)
+        print(f"  estimated median load : {handle.quantile(0.5):8.1f}")
+        print(f"  estimated p90 load    : {handle.quantile(0.9):8.1f}")
+        print(f"  imbalance detected    : {'YES' if ratio > IMBALANCE_POLICY else 'no'} "
+              f"(p90/p50 = {ratio:.2f})")
+        print(f"  node 0: own load {own_load:.0f} -> rank {own_rank:.2f}, "
+              f"slice {slice_of(handle, own_load)} of {SLICES} "
+              f"({'overloaded' if own_rank > 0.9 else 'normal'})")
+        print()
 
 
 def main() -> None:
-    rng = make_rng(7)
-    config = Adam2Config(points=30, rounds_per_instance=25, selection="lcut")
-    protocol = Adam2Protocol(config, scheduler="manual")
-    engine = build_engine(
-        normal_workload(mean=100.0, std=15.0), N_NODES, [protocol], rng, overlay="random", degree=12
-    )
-
+    loads = normal_workload(mean=100.0, std=15.0).sample(N_NODES, make_rng(7))
     print(f"Decentralised load monitoring over {N_NODES} nodes\n")
-    protocol.trigger_instance(engine)
-    engine.run(config.rounds_per_instance + 1)
-    report(protocol, engine, "Phase 1 — balanced system:")
+    report(loads, "Phase 1 — balanced system:")
 
     # Flash crowd: 20 % of nodes suddenly carry 10x load.
-    hot = list(engine.nodes.values())[: N_NODES // 5]
-    for node in hot:
-        node.values = node.values * 10.0
-    # Nodes re-evaluate their attribute when they join the next instance.
-    protocol.trigger_instance(engine)
-    engine.run(config.rounds_per_instance + 1)
-    report(protocol, engine, "Phase 2 — after a flash crowd on 20% of nodes:")
+    crowded = loads.copy()
+    crowded[: N_NODES // 5] *= 10.0
+    report(crowded, "Phase 2 — after a flash crowd on 20% of nodes:")
 
 
 if __name__ == "__main__":

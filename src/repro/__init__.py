@@ -27,14 +27,12 @@ paper-vs-measured reproduction record.
 from repro.core import (
     Adam2Config,
     Adam2Node,
-    Adam2Protocol,
     EmpiricalCDF,
     EstimatedCDF,
     InterpolationSet,
 )
 from repro.fastsim import Adam2Simulation, FastInstanceResult, FastRunResult
 from repro.metrics import cdf_errors, error_grid
-from repro.monitor import DistributionMonitor, DistributionView
 from repro.types import ErrorPair
 from repro.workloads import (
     boinc_bandwidth_kbps,
@@ -49,7 +47,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Adam2Config",
     "Adam2Node",
-    "Adam2Protocol",
     "Adam2Simulation",
     "FastInstanceResult",
     "FastRunResult",
@@ -59,8 +56,6 @@ __all__ = [
     "ErrorPair",
     "cdf_errors",
     "error_grid",
-    "DistributionMonitor",
-    "DistributionView",
     "boinc_cpu_mflops",
     "boinc_ram_mb",
     "boinc_bandwidth_kbps",

@@ -10,7 +10,7 @@ any simulation substrate::
     result = run(
         Adam2Config(points=30, rounds_per_instance=40),
         uniform_workload(0, 1000),
-        backend="fast",           # or "round" / "async" / "net"
+        backend="fast",           # or "async" / "net"
         n_nodes=10_000,
         instances=3,
         seed=7,
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.api.backends import Backend, FastBackend, RoundBackend, RunSpec
+from repro.api.backends import Backend, FastBackend, RunSpec
 from repro.api.result import InstanceSummary, RunResult
 from repro.core.config import Adam2Config
 from repro.errors import ConfigurationError
@@ -84,7 +84,6 @@ def list_backends() -> list[str]:
 
 
 register_backend(FastBackend())
-register_backend(RoundBackend())
 
 # The node-daemon backends register themselves on import (a plain module
 # import, so the bootstrap works whichever of repro.api / repro.net is
@@ -113,9 +112,9 @@ def run(
     Args:
         config: protocol parameters shared by all peers.
         workload: attribute distribution of the population.
-        backend: registered backend name (``"fast"``, ``"round"``,
-            ``"net"`` for the node daemons on real sockets, or
-            ``"async"`` for the same daemons on virtual time).
+        backend: registered backend name (``"fast"`` for the vectorised
+            simulator, ``"net"`` for the node daemons on real sockets,
+            or ``"async"`` for the same daemons on virtual time).
         n_nodes: population size.
         instances: consecutive aggregation instances to run.
         rounds: instance-duration override; folded into the config's

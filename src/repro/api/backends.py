@@ -1,12 +1,12 @@
 """The simulation backends behind the :func:`repro.api.run` facade.
 
 Each backend builds one engine and runs ``spec.instances`` consecutive
-aggregation instances on it.  The object-per-node substrates (round, and
-the node-daemon runtime in :mod:`repro.net.backend` behind ``net`` and
-``async``) share one instance loop, :func:`drive_instances`: a backend
-contributes how an instance starts, how one round happens and three
-accessors, and the driver owns everything an instance *is*: events, probes, the drain
-rule, the reduction to a :class:`~repro.api.result.RunResult`.
+aggregation instances on it.  The node-daemon runtime in
+:mod:`repro.net.backend` (behind ``net`` and ``async``) runs them through
+:func:`drive_instances`: the backend contributes how an instance starts,
+how one round happens and three accessors, and the driver owns
+everything an instance *is*: events, probes, the drain rule, the
+reduction to a :class:`~repro.api.result.RunResult`.
 
 Backends declare the option names they support (the facade rejects
 anything else loudly) and forward only the options the caller gave, so
@@ -31,17 +31,15 @@ from repro.api.result import (
 from repro.core.cdf import EmpiricalCDF, EstimatedCDF
 from repro.core.config import Adam2Config
 from repro.core.node import Adam2Node
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.obs.bridges import RateTracker, instance_round_sample
 from repro.obs.events import InstanceCompleted, InstanceStarted
 from repro.obs.observer import ObserverHub
-from repro.rngs import make_rng, spawn
 from repro.workloads.base import AttributeWorkload
 
 __all__ = [
     "Backend",
     "FastBackend",
-    "RoundBackend",
     "RunSpec",
     "drive_instances",
 ]
@@ -112,7 +110,7 @@ def _result(
 
 
 # ----------------------------------------------------------------------
-# The instance loop of the object-per-node substrates
+# The instance loop of the node-daemon backends
 # ----------------------------------------------------------------------
 
 
@@ -127,18 +125,17 @@ async def drive_instances(
     nodes: Callable[[], Sequence[Adam2Node]],
     traffic: Callable[[], tuple[int, int]],
     population: Callable[[], np.ndarray],
-    period_jitter: float | None = None,
-    settle: Callable[[], Awaitable[None]] | None = None,
+    period_jitter: float,
+    settle: Callable[[], Awaitable[None]],
 ) -> RunResult:
-    """Run ``spec.instances`` aggregation instances on an object-per-node system.
+    """Run ``spec.instances`` aggregation instances on a node-daemon system.
 
     One instance: the initiator picks thresholds, ``rounds_per_instance``
     push-pull rounds run, stragglers' TTLs drain, every reached peer's
     terminated estimate is reduced to one :class:`InstanceSummary`.
-    The keyword arguments are what a substrate contributes; the hooks
-    are coroutine functions so the same loop drives a simulator (whose
-    hooks never suspend) and the real-network cluster (whose hooks
-    await sockets and timers).
+    The keyword arguments are what the runtime contributes; the hooks
+    are coroutine functions that await sockets and timers (real, or
+    virtual under ``backend="async"``).
 
     Args:
         trigger: start one instance at some live node; returns its id.
@@ -148,21 +145,18 @@ async def drive_instances(
             never reached counts at error 1).
         traffic: cumulative ``(messages, bytes)`` sent so far.
         population: every live node's attribute values (ground truth).
-        period_jitter: per-node clock jitter fraction; ``None`` for
-            lock-step rounds, where every TTL expires on the last round
-            and there is nothing to drain.
+        period_jitter: per-node clock jitter fraction; sets how many
+            extra periods stragglers get to tick their TTLs out.
         settle: wait for work still in flight once the rounds are done.
     """
     rounds = spec.config.rounds_per_instance
-    drain = 0
-    if period_jitter is not None:
-        # Per-node clocks drift (jitter) and messages ride real or
-        # modelled latency, so after `rounds` nominal periods some peers
-        # still hold live state; the drain lets them tick their TTLs out.
-        drain = spec.options.get(
-            "drain_periods",
-            max(3, int(np.ceil(rounds * period_jitter)) + 2),
-        )
+    # Per-node clocks drift (jitter) and messages ride real or modelled
+    # latency, so after `rounds` nominal periods some peers still hold
+    # live state; the drain lets them tick their TTLs out.
+    drain = spec.options.get(
+        "drain_periods",
+        max(3, int(np.ceil(rounds * period_jitter)) + 2),
+    )
     probes = hub if hub.probes_enabled else None
     tracker = RateTracker()
 
@@ -200,8 +194,7 @@ async def drive_instances(
                     nodes(), instance_id
                 ) is None:
                     break
-            if settle is not None:
-                await settle()
+            await settle()
         end = traffic()
         live = nodes()
         summary, consensus = summarise_completed(
@@ -346,64 +339,4 @@ class FastBackend(Backend):
                 ))
         result = _result(self.name, spec, summaries, estimate)
         result.extras["shards"] = shards
-        return result
-
-
-class RoundBackend(Backend):
-    """The synchronous object-per-node engine (PeerSim-style rounds)."""
-
-    name = "round"
-    supported_options = frozenset({
-        "overlay", "degree", "loss_rate", "churn", "neighbour_sample",
-        "node_sample", "sanitize",
-    })
-
-    def run(self, spec: RunSpec, hub: ObserverHub) -> RunResult:
-        from repro.core.protocol import Adam2Protocol
-        from repro.simulation.runner import build_engine
-
-        rng = make_rng(spec.seed)
-        measure_rng = spawn(rng)
-        protocol = Adam2Protocol(
-            spec.config, scheduler="manual", **spec.given("neighbour_sample")
-        )
-        engine = build_engine(
-            spec.workload,
-            spec.n_nodes,
-            [protocol],
-            rng,
-            obs=hub,
-            **spec.given("overlay", "degree", "churn", "loss_rate", "sanitize"),
-        )
-        network = engine.network
-
-        async def trigger() -> Hashable:
-            instance_id: Hashable = protocol.trigger_instance(engine)
-            return instance_id
-
-        async def step(index: int, round_index: int, instance_id: Hashable) -> None:
-            engine.run_round()
-
-        driver = drive_instances(
-            self.name, spec, hub, measure_rng,
-            trigger=trigger,
-            step=step,
-            nodes=lambda: protocol.adam2_nodes(engine),
-            traffic=lambda: (
-                sum(network.messages_sent.values()), sum(network.bytes_sent.values())
-            ),
-            population=engine.attribute_values,
-        )
-        # Trigger and rounds are plain calls, so the driver coroutine never
-        # suspends and finishes on its first resume: no event loop, and
-        # run() stays callable from inside a running one.
-        try:
-            driver.send(None)
-        except StopIteration as done:
-            result: RunResult = done.value
-        else:  # pragma: no cover - nothing the round engine awaits can suspend
-            driver.close()
-            raise SimulationError("a simulated round waited on an event loop")
-        result.extras["engine"] = engine
-        result.extras["protocol"] = protocol
         return result

@@ -107,7 +107,7 @@ class RunResult:
 
 
 # ----------------------------------------------------------------------
-# Shared reduction helpers (object-per-node backends and the net runtime)
+# Reduction helpers of the node-daemon runtime (net and async)
 # ----------------------------------------------------------------------
 
 

@@ -1,14 +1,13 @@
 """Baseline CDF estimators the paper compares against.
 
-* :mod:`repro.baselines.equidepth` — the gossip histogram protocol of
-  Haridasan & van Renesse as an engine protocol (the vectorised variant
-  lives in :mod:`repro.fastsim.equidepth`).
 * :mod:`repro.baselines.sampling` — random-sampling estimation in the
   style of Hall & Carzaniga's uniform sampling, with its message-cost
   model.
+
+The gossip histogram protocol of Haridasan & van Renesse (EquiDepth)
+lives in :mod:`repro.fastsim.equidepth`.
 """
 
-from repro.baselines.equidepth import EquiDepthProtocol
 from repro.baselines.sampling import RandomSamplingEstimator, SamplingResult
 
-__all__ = ["EquiDepthProtocol", "RandomSamplingEstimator", "SamplingResult"]
+__all__ = ["RandomSamplingEstimator", "SamplingResult"]

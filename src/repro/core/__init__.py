@@ -4,10 +4,9 @@ This subpackage implements the Adam2 protocol itself: the interpolation
 data structure ``H``, the merge rules, the threshold-selection heuristics
 (Uniform, Neighbour-based, HCut, MinMax, LCut), verification points and
 confidence estimation, per-instance node state, and the node logic that
-runs on the simulation engine.
+the node daemons run (:mod:`repro.net`).
 """
 
-from repro.core.adaptive import AccuracyController, TuningDecision
 from repro.core.cdf import EmpiricalCDF, EstimatedCDF
 from repro.core.config import Adam2Config
 from repro.core.confidence import (
@@ -18,7 +17,6 @@ from repro.core.confidence import (
 from repro.core.instance import InstanceState
 from repro.core.interpolation import InterpolationSet, interpolate_matrix
 from repro.core.node import Adam2Node
-from repro.core.protocol import Adam2Protocol
 from repro.core.selection import (
     HCutSelection,
     LCutSelection,
@@ -31,8 +29,6 @@ from repro.core.selection import (
 from repro.core.sizing import size_from_weight
 
 __all__ = [
-    "AccuracyController",
-    "TuningDecision",
     "EmpiricalCDF",
     "EstimatedCDF",
     "Adam2Config",
@@ -43,7 +39,6 @@ __all__ = [
     "InterpolationSet",
     "interpolate_matrix",
     "Adam2Node",
-    "Adam2Protocol",
     "SelectionStrategy",
     "UniformSelection",
     "NeighbourBasedSelection",

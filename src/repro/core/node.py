@@ -1,8 +1,11 @@
 """Adam2 node logic: starting, joining, gossiping and terminating instances.
 
-:class:`Adam2Node` is deliberately independent of the simulation engine so
-it can be unit-tested by wiring two nodes together directly; the engine
-adapter lives in :mod:`repro.core.protocol`.
+:class:`Adam2Node` is independent of any transport, so it can be
+unit-tested by wiring nodes together directly.  The node daemons of
+:mod:`repro.net` run it over datagrams (``backend="net"``/``"async"``);
+:func:`gossip_exchange` is one exchange of :mod:`repro.fastsim`'s
+sequential round in object form, which the tests use as that kernel's
+exact oracle.
 """
 
 from __future__ import annotations
@@ -221,21 +224,6 @@ class Adam2Node:
         self.completed.append(completed)
         return completed
 
-    # ------------------------------------------------------------------
-    # Bootstrap for nodes that join the system (churn)
-    # ------------------------------------------------------------------
-
-    def bootstrap_from(self, neighbour: "Adam2Node") -> None:
-        """Copy a neighbour's current estimate and size on system join.
-
-        The paper bootstraps joining nodes with their initial neighbours'
-        estimates (§IV and §VII-G); such nodes ignore instances started
-        before they entered, which simply means they join only instances
-        they first hear of after this call.
-        """
-        self.current_estimate = neighbour.current_estimate
-        self.size_estimate = neighbour.size_estimate
-
 
 def gossip_exchange(initiator: Adam2Node, responder: Adam2Node, round_: int = 0) -> int:
     """Perform one symmetric push–pull exchange between two peers.
@@ -247,6 +235,9 @@ def gossip_exchange(initiator: Adam2Node, responder: Adam2Node, round_: int = 0)
     follows) or follows the Fig. 1 pseudocode to the letter
     (``"literal"``: the joiner merges the received state, the other peer
     ignores the empty reply and keeps its values unchanged).
+
+    It is one exchange of :func:`repro.fastsim.exchange.sequential_round`
+    in object form; the tests hold the two bit-identical.
 
     Returns:
         The number of instances exchanged (for cost accounting).

@@ -3,7 +3,7 @@
 All library-raised exceptions derive from :class:`ReproError`, so callers
 can catch a single base class.  Lower-level substrates define subclasses
 here rather than locally, which keeps failure handling uniform across the
-simulator, the overlay and the protocol layers.
+simulators, the node runtime and the protocol layers.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ class ProtocolError(ReproError):
 
 class SimulationError(ReproError):
     """The simulation engine was driven into an invalid state."""
-
-
-class OverlayError(ReproError):
-    """Overlay/membership operation failed (e.g. no neighbours available)."""
 
 
 class WorkloadError(ReproError):

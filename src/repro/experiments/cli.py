@@ -5,7 +5,7 @@ Examples::
     adam2-experiments --list
     adam2-experiments fig07
     adam2-experiments fig07 --nodes 3000 --seed 7
-    adam2-experiments fig07 --backend round --trace fig07.jsonl
+    adam2-experiments fig07 --backend async --trace fig07.jsonl
     adam2-experiments fig05 --metrics-out fig05_metrics.json
     REPRO_SCALE=quick adam2-experiments all
     adam2-experiments serve --nodes 2000 --port 9309 --refresh 5
@@ -20,6 +20,7 @@ import sys
 import time
 
 from repro.analysis.report import format_table
+from repro.api import list_backends
 from repro.errors import ConfigurationError
 from repro.experiments.registry import get_experiment, list_experiments
 
@@ -41,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="experiment seed")
     parser.add_argument(
         "--backend",
-        choices=("fast", "round", "async", "net"),
+        choices=list_backends(),
         default=None,
         help="simulation backend for backend-agnostic experiments "
         "(experiments that need fast-only features keep the fast backend; "
@@ -139,7 +140,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         description="Run the continuous estimation service with a TCP "
         "query endpoint (JSON lines; see repro.net.service_endpoint).",
     )
-    parser.add_argument("--backend", choices=("fast", "round", "async", "net"), default="fast")
+    parser.add_argument("--backend", choices=list_backends(), default="fast")
     parser.add_argument("--nodes", type=int, default=1000, help="population size")
     parser.add_argument("--points", type=int, default=30, help="interpolation points")
     parser.add_argument("--rounds", type=int, default=30, help="rounds per instance")

@@ -120,7 +120,7 @@ def run_adam2(
     so the CLI can reroute them to another backend or attach observers.
     ``scale`` injects the tier's ``exchange``/``node_sample`` defaults —
     but only when the selected backend supports those options, so
-    fast-specific knobs never leak into the round/async engines.
+    fast-specific knobs never leak into the async/net daemons.
     Backend-specific options the target backend does not support still
     fail loudly (a runner pinning ``backend="fast"`` documents that it
     needs fast-only features).

@@ -1,9 +1,11 @@
 """Vectorised large-N simulator for parameter sweeps.
 
-The object-per-node engine in :mod:`repro.simulation` is the fidelity
-reference; this package re-implements the same gossip semantics on NumPy
-arrays so the paper's sweeps (system sizes up to 1,000,000 nodes, dozens
-of configurations) run in seconds.  All nodes of an aggregation instance
+PeerSim's cycle-driven mode on NumPy arrays, so the paper's sweeps
+(system sizes up to 1,000,000 nodes, dozens of configurations) run in
+seconds; :func:`repro.core.node.gossip_exchange` is one exchange of the
+sequential round in object form, and the tests' exact oracle for it.
+The node daemons of :mod:`repro.net` run the same protocol one object
+per peer.  All nodes of an aggregation instance
 share one threshold vector, so the per-node state is one batched
 ``(N, λ)`` matrix (:class:`~repro.fastsim.state.BatchState`, reused
 across instances) and a gossip round is a pass of a kernel over

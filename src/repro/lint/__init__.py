@@ -29,7 +29,6 @@ from repro.lint.sarif import format_sarif, to_sarif
 from repro.lint.sanitizer import (
     FastsimSanitizer,
     InvariantViolation,
-    SanitizedProtocol,
     sanitize_enabled,
 )
 from repro.lint.violation import LintReport, Violation
@@ -42,7 +41,6 @@ __all__ = [
     "LintEngine",
     "LintReport",
     "ProjectIndex",
-    "SanitizedProtocol",
     "Violation",
     "apply_baseline",
     "build_project_index",

@@ -1,4 +1,4 @@
-"""ADM004: exchange implementations and mass-conservation declarations.
+"""ADM004: exchange modes and mass-conservation declarations.
 
 Paper invariant: push–pull exchanges replace both peers' averaged state
 by the mean, conserving per-column mass — the property that makes
@@ -18,8 +18,6 @@ from repro.lint.rules.base import ModuleContext, Rule, attribute_chain
 from repro.lint.violation import Violation
 
 __all__ = ["ExchangeConservation"]
-
-_PROTOCOL_BASES = {"Protocol"}
 
 #: the one mode the symmetric-averaging proof covers; anything else
 #: branched on by name needs an explicit registration
@@ -59,75 +57,25 @@ def _compared_mode_strings(fn: ast.AST) -> Iterator[tuple[ast.Compare, str]]:
 
 
 class ExchangeConservation(Rule):
-    """ADM004: exchange payloads and registered non-conserving modes.
+    """ADM004: every non-conserving exchange mode is registered.
 
-    Two checks:
-
-    1. An ``exchange`` method on a class deriving from ``Protocol`` must
-       return a payload tuple from every return statement — returning
-       ``None`` (or a bare scalar) silently drops network accounting and
-       hides the exchange from observers.
-    2. A function taking a ``join_mode``/``mode`` parameter may only
-       compare it against ``"symmetric"`` or against mode strings the
-       same module registers with ``register_non_conserving(...)``.
+    A function taking a ``join_mode``/``mode`` parameter may only compare
+    it against ``"symmetric"`` or against mode strings the same module
+    registers with ``register_non_conserving(...)``.
     """
 
     code = "ADM004"
     name = "exchange-conservation"
     hint = (
-        "return a (request_bytes, response_bytes) tuple; register non-conserving "
-        "modes via repro.core.conservation.register_non_conserving"
+        "register non-conserving modes via "
+        "repro.core.conservation.register_non_conserving"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Violation]:
         registered = _registered_modes(module.tree)
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_protocol_class(module, node)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_mode_branches(module, node, registered)
-
-    # -- check 1: exchange return shape --------------------------------
-
-    def _check_protocol_class(
-        self, module: ModuleContext, cls: ast.ClassDef
-    ) -> Iterator[Violation]:
-        base_names = set()
-        for base in cls.bases:
-            chain = attribute_chain(base)
-            if chain:
-                base_names.add(chain[-1])
-        if not base_names & _PROTOCOL_BASES:
-            return
-        for item in cls.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "exchange":
-                yield from self._check_exchange_returns(module, item)
-
-    def _check_exchange_returns(
-        self, module: ModuleContext, fn: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[Violation]:
-        returns = [
-            node for node in ast.walk(fn)
-            if isinstance(node, ast.Return)
-        ]
-        if not returns:
-            yield self.violation(
-                module, fn,
-                f"{fn.name}() on a Protocol never returns a payload tuple",
-            )
-            return
-        for ret in returns:
-            value = ret.value
-            if value is None or (
-                isinstance(value, ast.Constant) and not isinstance(value.value, tuple)
-            ):
-                yield self.violation(
-                    module, ret,
-                    "Protocol.exchange must return a (request_bytes, response_bytes) "
-                    "tuple, not a bare constant or None",
-                )
-
-    # -- check 2: mode registration ------------------------------------
 
     def _check_mode_branches(
         self,

@@ -1,12 +1,13 @@
-"""ADM007: no wall-clock reads inside simulation/round logic.
+"""ADM007: no wall-clock reads inside simulated-time logic.
 
-Paper invariant: the simulators model time as rounds (synchronous
-engines) or as the event loop's clock (the node daemons, which
-``backend="async"`` runs on :mod:`repro.net.virtual`'s jumping clock).  Reading the host's
-wall clock inside that logic couples simulated behaviour to real
-machine speed, destroying determinism and replayability.  Experiment
-drivers (``repro.experiments``) may time themselves; the simulation
-substrates may not.
+Paper invariant: simulated time is rounds (:mod:`repro.fastsim`) or the
+event loop's clock (the node daemons of :mod:`repro.net`, which
+``backend="async"`` runs on :mod:`repro.net.virtual`'s jumping clock).
+Reading the host's wall clock in the simulator, the protocol core or
+the service couples their behaviour to machine speed and breaks
+determinism and replay.  The packages listed in ``_EXEMPT_PACKAGES``
+are drivers and tooling, or (``net``) the runtime whose protocol clock
+is the loop's; they may read the host clock.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ def _is_exempt(module: ModuleContext) -> bool:
 
 
 class NoWallClock(Rule):
-    """ADM007: ``time.time()``/``datetime.now()`` etc. in simulation code."""
+    """ADM007: ``time.time()``/``datetime.now()`` etc. outside the exempt packages."""
 
     code = "ADM007"
     name = "no-wall-clock"
     hint = (
-        "use engine rounds, or the event loop's clock (`loop.time()`, virtual "
-        "under backend='async') instead of the host clock"
+        "use simulated rounds, or the event loop's clock (`loop.time()`, "
+        "virtual under backend='async') instead of the host clock"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Violation]:

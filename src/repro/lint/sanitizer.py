@@ -40,7 +40,6 @@ __all__ = [
     "InvariantViolation",
     "sanitize_enabled",
     "FastsimSanitizer",
-    "SanitizedProtocol",
     "checked_delivery",
     "check_mass_totals",
     "check_shard_invariants",
@@ -87,12 +86,10 @@ class InvariantViolation(ReproError):
 
     Attributes:
         invariant: which invariant failed (``mass-conservation``,
-            ``weight-sum``, ``fraction-range``, ``monotone-cdf``,
-            ``exchange-payload``).
-        backend: ``simulation`` (round engine), ``fastsim`` /
-            ``fastsim.shard`` (vectorised simulator), or ``net`` (the
-            node daemons behind both ``backend="net"`` and
-            ``backend="async"``).
+            ``weight-sum``, ``fraction-range``, ``monotone-cdf``).
+        backend: ``fastsim`` / ``fastsim.shard`` (vectorised
+            simulator), or ``net`` (the node daemons behind both
+            ``backend="net"`` and ``backend="async"``).
         round_index: round (or event) at which the violation surfaced.
         instance: instance identifier/index, when known.
         node: node identifier/index, when known.
@@ -292,7 +289,7 @@ class FastsimSanitizer:
 
 
 # ---------------------------------------------------------------------
-# Round-based engine backend
+# Per-node state checks (the node daemons)
 # ---------------------------------------------------------------------
 
 
@@ -350,99 +347,6 @@ def _check_node_states(
             round_index=round_index,
             instance=iid,
         )
-
-
-class SanitizedProtocol:
-    """Wraps a round-based :class:`repro.simulation.engine.Protocol`.
-
-    Every ``exchange`` is bracketed: the per-instance averaged masses of
-    the two peers must be identical before and after (modulo the exact
-    initial contribution of a node joining an instance mid-exchange),
-    and the exchange must return a payload tuple.  Per-node range and
-    monotonicity checks run on both peers afterwards.  Exchange modes
-    registered non-conserving skip only the mass equality, never the
-    per-node checks.
-    """
-
-    backend = "simulation"
-
-    def __init__(self, inner: Any):
-        self.inner = inner
-        self.name = inner.name
-
-    # -- delegation ----------------------------------------------------
-
-    def __getattr__(self, attr: str) -> Any:
-        return getattr(self.inner, attr)
-
-    def on_node_added(self, node: Any, engine: Any) -> None:
-        self.inner.on_node_added(node, engine)
-
-    def on_node_removed(self, node: Any, engine: Any) -> None:
-        self.inner.on_node_removed(node, engine)
-
-    def before_round(self, engine: Any) -> None:
-        self.inner.before_round(engine)
-
-    def after_node_round(self, node: Any, engine: Any) -> None:
-        self.inner.after_node_round(node, engine)
-
-    def after_round(self, engine: Any) -> None:
-        self.inner.after_round(engine)
-
-    # -- the instrumented hook -----------------------------------------
-
-    def exchange(self, initiator: Any, responder: Any, engine: Any) -> tuple[int, int]:
-        a = initiator.state.get(self.name)
-        b = responder.state.get(self.name)
-        checkable = isinstance(a, Adam2Node) and isinstance(b, Adam2Node)
-        if checkable:
-            pre_a = _instance_masses(a)
-            pre_b = _instance_masses(b)
-
-        result = self.inner.exchange(initiator, responder, engine)
-
-        if not (isinstance(result, tuple) and len(result) == 2):
-            raise InvariantViolation(
-                "exchange-payload",
-                f"exchange returned {result!r}, not a (request_bytes, response_bytes) tuple",
-                backend=self.backend,
-                round_index=getattr(engine, "round", None),
-                node=initiator.node_id,
-            )
-        if not checkable:
-            return result
-
-        round_index = getattr(engine, "round", None)
-        join_mode = getattr(getattr(self.inner, "config", None), "join_mode", "symmetric")
-        post_a = _instance_masses(a)
-        post_b = _instance_masses(b)
-        for iid in set(post_a) | set(post_b):
-            before: list[dict[str, Any]] = []
-            joined_fresh = False
-            for node, pre, post in ((initiator, pre_a, post_a), (responder, pre_b, post_b)):
-                if iid in pre:
-                    before.append(pre[iid])
-                elif iid in post:
-                    joined_fresh = True
-                    before.append(_initial_contribution(node.values, post[iid]))
-            if joined_fresh and not is_mass_conserving(join_mode):
-                continue  # declared non-conserving join (e.g. "literal")
-            after = [post[iid] for post in (post_a, post_b) if iid in post]
-            if not before or not after:
-                continue
-            _check_mass(
-                _pair_mass(after),
-                _pair_mass(before),
-                backend=self.backend,
-                round_index=round_index,
-                instance=iid,
-            )
-        for node, adam2 in ((initiator, a), (responder, b)):
-            _check_node_states(
-                adam2, backend=self.backend, round_index=round_index, node=node.node_id
-            )
-        return result
 
 
 def _masses_of(state: InstanceState) -> dict[str, Any]:

@@ -10,8 +10,9 @@ for probes and summaries.
 
 :func:`run_process_cluster` is the one-OS-process-per-node mode: it
 writes per-node JSON specs, launches ``python -m repro.net.node`` for
-each, and collects the JSON summaries — full process isolation for
-smoke runs at the cost of slower startup and summary-only visibility.
+each, starts them together through a ready/go barrier, and collects the
+JSON summaries — full process isolation for smoke runs at the cost of
+slower startup and summary-only visibility.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -267,16 +269,19 @@ def run_process_cluster(
     drop_rate: float = 0.0,
     max_datagram: int = 8192,
     transport_options: dict[str, Any] | None = None,
-    start_delay: float = 0.5,
     timeout: float = 120.0,
     host: str = "127.0.0.1",
 ) -> list[dict[str, Any]]:
     """Launch one OS process per node and collect their JSON summaries.
 
     ``trigger_at`` maps node id to the local round at which that node
-    initiates an instance.  Raises :class:`NetworkError` when any node
-    process fails or the cluster misses the ``timeout`` deadline.
+    initiates an instance.  No node gossips before every node is bound:
+    each process reports ``ready`` once its socket and peers are set up,
+    and only then does every process get ``go``.  Raises
+    :class:`NetworkError` when any node process fails or the cluster
+    misses the ``timeout`` deadline (start-up included).
     """
+    deadline = time.monotonic() + timeout
     per_node = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
     if len(per_node) < 2:
         raise NetworkError("a cluster needs at least 2 nodes")
@@ -311,7 +316,6 @@ def run_process_cluster(
                     "drop_rate": drop_rate,
                     "max_datagram": max_datagram,
                     "transport_options": transport_options,
-                    "start_delay": start_delay,
                 }
                 spec_path = os.path.join(workdir, f"node-{node_id}.json")
                 out_path = os.path.join(workdir, f"result-{node_id}.json")
@@ -321,18 +325,29 @@ def run_process_cluster(
                 processes.append(subprocess.Popen(
                     [sys.executable, "-m", "repro.net.node",
                      "--spec", spec_path, "--out", out_path],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
                     env=os.environ.copy(),
                 ))
-            remaining = timeout
             for process in processes:
-                started = time.monotonic()
+                _await_ready(process, deadline, timeout)
+            for process in processes:
+                assert process.stdin is not None
                 try:
-                    code = process.wait(timeout=max(remaining, 0.001))
+                    process.stdin.write(b"go\n")
+                    process.stdin.close()
+                except BrokenPipeError as exc:
+                    raise NetworkError(
+                        f"a node process exited with status {process.wait()} "
+                        "before its go"
+                    ) from exc
+            for process in processes:
+                try:
+                    code = process.wait(timeout=max(deadline - time.monotonic(), 0.001))
                 except subprocess.TimeoutExpired as exc:
                     raise NetworkError(
                         f"node process cluster missed the {timeout}s deadline"
                     ) from exc
-                remaining -= time.monotonic() - started
                 if code != 0:
                     raise NetworkError(f"a node process exited with status {code}")
         finally:
@@ -340,11 +355,29 @@ def run_process_cluster(
                 if process.poll() is None:
                     process.kill()
                     process.wait()
+                for pipe in (process.stdin, process.stdout):
+                    if pipe is not None and not pipe.closed:
+                        pipe.close()
         summaries = []
         for out_path in out_paths:
             with open(out_path, encoding="utf-8") as handle:
                 summaries.append(json.load(handle))
         return summaries
+
+
+def _await_ready(
+    process: "subprocess.Popen[bytes]", deadline: float, timeout: float
+) -> None:
+    """Block until ``process`` reports ``ready``, dies, or the deadline passes."""
+    assert process.stdout is not None
+    readable, _, _ = select.select(
+        [process.stdout], [], [], max(deadline - time.monotonic(), 0.0)
+    )
+    if not readable:
+        raise NetworkError(f"node process cluster missed the {timeout}s deadline")
+    line = process.stdout.readline()
+    if line.strip() != b"ready":  # b"" once the process has died
+        raise NetworkError(f"a node process failed before it was ready: {line!r}")
 
 
 def completed_from_summaries(

@@ -30,7 +30,10 @@ A :class:`NodeDaemon` wires the engine-independent protocol core
 The daemon can also run as its own OS process:
 ``python -m repro.net.node --spec spec.json`` executes one node from a
 JSON spec and writes a JSON summary of its completed instances — the
-process mode of :class:`repro.net.cluster.LocalCluster`.
+process mode of :func:`repro.net.cluster.run_process_cluster`.  The
+process starts gossiping only past a start barrier: once bound, with its
+peers added, it writes ``ready`` on stdout and waits for a ``go`` line on
+stdin, which the parent sends when every node is ready.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import sys
 from functools import partial
 from typing import Any, Hashable, Mapping, Sequence
 
@@ -494,6 +498,15 @@ def _summary_payload(daemon: NodeDaemon) -> dict[str, Any]:
     }
 
 
+def _start_barrier() -> None:
+    """Report ``ready`` to the parent, then block until it says ``go``."""
+    sys.stdout.write("ready\n")
+    sys.stdout.flush()
+    line = sys.stdin.readline()
+    if line.strip() != "go":
+        raise NetworkError(f"start barrier: expected 'go' on stdin, got {line!r}")
+
+
 async def _run_spec(spec: dict[str, Any]) -> dict[str, Any]:
     """Execute one node process from its JSON spec; returns the summary."""
     config = Adam2Config(**spec.get("config", {}))
@@ -519,8 +532,9 @@ async def _run_spec(spec: dict[str, Any]) -> dict[str, Any]:
     for peer_id, host, port in spec.get("peers", []):
         daemon.add_peer(int(peer_id), (str(host), int(port)))
     try:
-        # Let the rest of the cluster bind before the first datagram.
-        await asyncio.sleep(float(spec.get("start_delay", 0.2)))
+        # The barrier blocks a worker thread: the loop keeps answering
+        # peers that got their go first.
+        await asyncio.to_thread(_start_barrier)
         trigger_at = spec.get("trigger_at")
         rounds = int(spec["rounds"])
         if trigger_at is None:

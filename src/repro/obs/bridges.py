@@ -1,13 +1,13 @@
 """Probe computation bridging engines to observability events.
 
 The vectorised fastsim computes its probes inline from its arrays; the
-object-per-node backends (round engine, async engine) share the helpers
-here, which walk per-node :class:`~repro.core.instance.InstanceState`
-objects for one aggregation instance.
+node-daemon backends (``net`` and ``async``) use the helpers here, which
+walk per-node :class:`~repro.core.instance.InstanceState` objects for
+one aggregation instance.
 
 :class:`RateTracker` derives the per-round convergence factor from the
 spread series — Jelasity et al.'s variance-reduction-rate diagnostic for
-epidemic averaging — and is shared by all three backends.
+epidemic averaging — and is shared by every backend.
 """
 
 from __future__ import annotations

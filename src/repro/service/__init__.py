@@ -3,7 +3,7 @@
 The paper's end goal is a *standing capability*, not a one-shot
 experiment: nodes continuously re-run aggregation instances so that at
 any moment an application can ask "what fraction of nodes have >= 2 GB
-RAM?".  This package builds that serving layer on top of the four
+RAM?".  This package builds that serving layer on top of the three
 :func:`repro.api.run` backends:
 
 * **scheduler** (:mod:`repro.service.scheduler`): drives back-to-back

@@ -160,7 +160,7 @@ def build_service(
         config: protocol parameters for every cycle.
         workload: initial population source (the scheduler owns the
             values afterwards; ``drift`` evolves them between cycles).
-        backend: facade backend (``fast``/``round``/``async``/``net``).
+        backend: facade backend (``fast``/``async``/``net``).
         n_nodes: population size.
         seed: master seed — cycles and drift derive from it.
         policy: scheduler knobs (default :class:`SchedulerPolicy`).

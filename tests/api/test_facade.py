@@ -11,9 +11,9 @@ from repro.api import get_backend, list_backends, run
 from repro.api.result import summarise_completed
 from repro.core.config import Adam2Config
 from repro.errors import ConfigurationError, SimulationError
+from repro.fastsim.adam2 import Adam2Simulation
 from repro.net.cluster import LocalCluster
 from repro.rngs import make_rng
-from repro.simulation.runner import build_engine
 from repro.workloads import lognormal_workload
 
 WORKLOAD = lognormal_workload()
@@ -22,11 +22,15 @@ CONFIG = Adam2Config(points=5, rounds_per_instance=15)
 
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert {"fast", "round", "async"} <= set(list_backends())
+        assert list_backends() == ["async", "fast", "net"]
 
     def test_get_backend_returns_named_engine(self):
-        for name in ("fast", "round", "async"):
+        for name in ("fast", "async", "net"):
             assert get_backend(name).name == name
+
+    def test_retired_round_backend_is_unknown(self):
+        with pytest.raises(ConfigurationError, match="unknown backend 'round'"):
+            run(CONFIG, WORKLOAD, backend="round", n_nodes=48)
 
     def test_unknown_backend_lists_alternatives(self):
         with pytest.raises(ConfigurationError, match="fast"):
@@ -52,7 +56,7 @@ class TestRunFacade:
             assert np.isfinite(instance.errors_entire.maximum)
             assert instance.messages > 0 and instance.bytes > 0
 
-    @pytest.mark.parametrize("backend", ["fast", "round", "async"])
+    @pytest.mark.parametrize("backend", ["fast", "async"])
     def test_same_seed_reproduces(self, backend):
         results = [
             run(CONFIG, WORKLOAD, backend=backend, n_nodes=48, seed=11)
@@ -74,12 +78,12 @@ class TestRunFacade:
 
     def test_unknown_option_fails_loudly(self):
         with pytest.raises(ConfigurationError, match="turbo"):
-            run(CONFIG, WORKLOAD, backend="round", n_nodes=48, turbo=True)
+            run(CONFIG, WORKLOAD, backend="async", n_nodes=48, turbo=True)
 
     def test_option_valid_elsewhere_still_fails(self):
-        # churn_rate is a fast-only option; round must reject it.
+        # churn_rate is a fast-only option; the daemons must reject it.
         with pytest.raises(ConfigurationError, match="churn_rate"):
-            run(CONFIG, WORKLOAD, backend="round", n_nodes=48, churn_rate=0.01)
+            run(CONFIG, WORKLOAD, backend="async", n_nodes=48, churn_rate=0.01)
 
     def test_rng_seeds_the_run(self):
         results = [
@@ -103,8 +107,7 @@ class TestDefaultsDeclaredOnce:
     """Leaving an option out is passing the default its constructor declares."""
 
     @pytest.mark.parametrize("backend, owners, numeric", [
-        ("round", (build_engine, summarise_completed),
-         {"degree", "loss_rate", "node_sample"}),
+        ("fast", (Adam2Simulation,), {"churn_rate", "node_sample"}),
         ("async", (LocalCluster, summarise_completed),
          {"gossip_period", "period_jitter", "drop_rate", "node_sample"}),
     ])

@@ -1,12 +1,12 @@
 """Backend parity: the same spec converges to the same answer everywhere.
 
-The three backends share no substrate code — the fast backend is a
-vectorised matrix loop, the round backend schedules per-node exchanges
-in lock-step rounds, the async backend runs the net node daemons (wire
-codec, retrying transport, jittered per-node clocks) on virtual time.
-Agreement between them on the *converged* estimate is therefore a strong
-end-to-end check of all three.  (``net`` is ``async`` on real sockets:
-tests/net/test_parity.py compares those two.)
+The two simulated backends share no substrate code — the fast backend
+is a vectorised matrix loop, the async backend runs the net node daemons
+(wire codec, retrying transport, jittered per-node clocks) on virtual
+time.  Agreement between them on the *converged* estimate is therefore
+an end-to-end check of both.  (``net`` is ``async`` on real sockets:
+tests/net/test_parity.py compares those two.  The exact check of the
+exchange itself is tests/core/test_exchange_oracle.py.)
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ CONFIG = Adam2Config(points=10, rounds_per_instance=30)
 def results():
     return {
         backend: run(CONFIG, WORKLOAD, backend=backend, n_nodes=N_NODES, seed=17)
-        for backend in ("fast", "round", "async")
+        for backend in ("fast", "async")
     }
 
 
-@pytest.mark.parametrize("backend", ["fast", "round", "async"])
+@pytest.mark.parametrize("backend", ["fast", "async"])
 def test_each_backend_converges(results, backend):
     final = results[backend].final
     assert final.reached == N_NODES
@@ -46,7 +46,7 @@ def test_each_backend_converges(results, backend):
     assert final.errors_entire.average < 0.05
 
 
-@pytest.mark.parametrize("other", ["round", "async"])
+@pytest.mark.parametrize("other", ["async"])
 def test_estimates_match_fast_backend(results, other):
     """Same seed → same sampled population → near-identical CDF points."""
     fast = results["fast"].estimate

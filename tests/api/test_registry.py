@@ -35,7 +35,7 @@ def clean_registry():
 
 class TestRegisterBackend:
     def test_builtin_backends_present(self):
-        assert {"fast", "round", "async", "net"} <= set(list_backends())
+        assert {"fast", "async", "net"} <= set(list_backends())
 
     def test_register_and_lookup(self, clean_registry):
         stub = _Stub()

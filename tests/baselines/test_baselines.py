@@ -5,9 +5,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.rngs import make_rng
-from repro.baselines.equidepth import EquiDepthProtocol
 from repro.baselines.sampling import RandomSamplingEstimator
-from repro.simulation.runner import build_engine
+from repro.fastsim.equidepth import EquiDepthSimulation
 from repro.workloads.synthetic import step_workload, uniform_workload
 
 
@@ -63,35 +62,33 @@ class TestRandomSampling:
 
 
 class TestEquiDepthProtocol:
-    def test_runs_on_engine(self, rng):
-        protocol = EquiDepthProtocol(synopsis_size=20)
-        engine = build_engine(uniform_workload(0, 1000), 150, [protocol], rng, overlay="mesh")
-        engine.run(20)
-        estimates = protocol.estimates(engine)
-        assert len(estimates) == 150
+    """The EquiDepth baseline Fig. 8 compares against."""
+
+    def test_runs_on_engine(self):
+        sim = EquiDepthSimulation(uniform_workload(0, 1000), 150, synopsis_size=20, seed=55)
+        sim.run_phase(rounds=20)
+        estimates = [sim.node_estimate(node) for node in range(150)]
         truth_mid = 0.5
         mid = np.mean([est.evaluate(np.asarray([500.0]))[0] for est in estimates[:20]])
         assert abs(mid - truth_mid) < 0.15
 
-    def test_phase_reset(self, rng):
-        protocol = EquiDepthProtocol(synopsis_size=10)
-        engine = build_engine(uniform_workload(0, 100), 50, [protocol], rng, overlay="mesh")
-        engine.run(10)
-        protocol.start_phase(engine)
-        node = next(iter(engine.nodes.values()))
-        values, weights = node.state[protocol.name]
-        assert values.size == 1
-        assert weights.sum() == pytest.approx(1.0)
+    def test_phase_reset(self):
+        # Every phase starts from the peers' own values: a one-round phase
+        # after a converged one is as coarse as a one-round first phase.
+        sim = EquiDepthSimulation(uniform_workload(0, 100), 50, synopsis_size=10, seed=55)
+        converged = sim.run_phase(rounds=10).errors_entire.average
+        restarted = sim.run_phase(rounds=1).errors_entire.average
+        assert restarted > converged
+        for node in range(50):
+            assert sim._weights[node].sum() == pytest.approx(1.0)
 
-    def test_synopsis_bounded(self, rng):
-        protocol = EquiDepthProtocol(synopsis_size=10)
-        engine = build_engine(uniform_workload(0, 100), 60, [protocol], rng, overlay="mesh")
-        engine.run(15)
-        for node in engine.nodes.values():
-            values, weights = node.state[protocol.name]
-            assert values.size <= 10
-            assert weights.sum() == pytest.approx(1.0)
+    def test_synopsis_bounded(self):
+        sim = EquiDepthSimulation(uniform_workload(0, 100), 60, synopsis_size=10, seed=55)
+        sim.run_phase(rounds=15)
+        for node in range(60):
+            assert sim._synopses[node].size <= 10
+            assert sim._weights[node].sum() == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            EquiDepthProtocol(synopsis_size=1)
+            EquiDepthSimulation(uniform_workload(0, 100), 10, synopsis_size=1)

@@ -251,16 +251,6 @@ class TestSchedulingAndBootstrap:
         # P_s = 1/(1*1) = 1 -> always starts.
         assert node.should_start_instance()
 
-    def test_bootstrap_from_copies_estimate(self):
-        a = make_node(0, 10.0)
-        b = make_node(1, 20.0)
-        a.start_instance(neighbour_values=np.asarray([5.0, 20.0]), instance_id="x")
-        for _ in range(a.config.rounds_per_instance):
-            a.end_of_round()
-        b.bootstrap_from(a)
-        assert b.current_estimate is a.current_estimate
-        assert b.size_estimate == a.size_estimate
-
     def test_refinement_uses_previous_estimate(self):
         rng = make_rng(10)
         values = np.asarray([10.0] * 8 + [100.0] * 8)

@@ -6,8 +6,14 @@ import json
 
 import pytest
 
+from repro.api import list_backends
 from repro.errors import ConfigurationError
-from repro.experiments.cli import _override_params, main
+from repro.experiments.cli import (
+    _build_parser,
+    _build_serve_parser,
+    _override_params,
+    main,
+)
 
 
 class _Args:
@@ -64,18 +70,25 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["fig07", "--backend", "warp"])
 
+    def test_backend_choices_come_from_the_registry(self):
+        for parser in (_build_parser(), _build_serve_parser()):
+            backend = next(a for a in parser._actions if a.dest == "backend")
+            assert list(backend.choices) == list_backends()
+        with pytest.raises(SystemExit):
+            main(["serve", "--backend", "round"])
+
     def test_experiment_with_trace_and_metrics(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_SCALE", "quick")
         trace = tmp_path / "trace.jsonl"
         metrics = tmp_path / "metrics.json"
         code = main([
-            "fig07", "--nodes", "100", "--backend", "round",
+            "fig07", "--nodes", "100", "--backend", "fast",
             "--trace", str(trace), "--metrics-out", str(metrics),
         ])
         assert code == 0
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         assert any(line["type"] == "round" for line in lines)
-        assert lines[0]["backend"] == "round"
+        assert lines[0]["backend"] == "fast"
         snapshot = json.loads(metrics.read_text())
         assert snapshot["counters"]["rounds_total"] > 0
         assert "run/instance/round" in snapshot["spans"]

@@ -1,95 +1,98 @@
-"""Application-level integration tests over the monitor facade.
+"""Application-level integration tests over the estimation service.
 
 These mirror the paper's §I motivating applications end-to-end through
 the public API: load-balance detection, outlier flagging by global rank,
-and ordered slicing — all computed from the decentralised estimate, then
-audited against ground truth.
+and ordered slicing — all computed from the queries of a service
+(:func:`repro.api.serve` on the fast backend), then audited against the
+scheduler's exact ground truth.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.cdf import EmpiricalCDF
+from repro.api import serve
 from repro.core.config import Adam2Config
-from repro.monitor import DistributionMonitor
 from repro.workloads.base import SampledWorkload
 from repro.workloads.synthetic import lognormal_workload, normal_workload
 
+N_NODES = 150
 
-def build_monitor(workload, n=150, seed=3, **config_kwargs):
-    defaults = dict(
-        points=20, rounds_per_instance=20, instance_frequency=3,
-        initial_size_estimate=30.0, verification_points=10, selection="lcut",
+
+def service_over(workload):
+    config = Adam2Config(
+        points=20, rounds_per_instance=20, verification_points=10, selection="lcut",
     )
-    defaults.update(config_kwargs)
-    monitor = DistributionMonitor(
-        workload=workload, n_nodes=n, config=Adam2Config(**defaults), seed=seed
+    handle = serve(
+        config, workload, backend="fast", n_nodes=N_NODES, seed=3,
+        options={"confidence_sample": 64},
     )
-    monitor.advance_until_estimate(max_rounds=500)
-    monitor.advance(45)  # a couple more instances for refinement
-    return monitor
+    handle.refresh()  # one steady cycle on top of the warm-up chain
+    return handle
+
+
+def dispersion(handle):
+    return handle.quantile(0.9) / handle.quantile(0.5)
+
+
+def slice_of(handle, value, slices):
+    return min(int(slices * handle.cdf(value)), slices - 1)
 
 
 class TestLoadBalanceView:
     def test_balanced_system_low_dispersion(self):
-        monitor = build_monitor(normal_workload(mean=100.0, std=10.0))
-        view = monitor.snapshot()
-        assert view.interquantile_ratio(0.5, 0.9) < 1.5
+        handle = service_over(normal_workload(mean=100.0, std=10.0))
+        assert dispersion(handle) < 1.5
 
     def test_skewed_system_detected(self):
-        monitor = build_monitor(lognormal_workload(median=100.0, sigma=1.5))
-        view = monitor.snapshot()
-        assert view.interquantile_ratio(0.5, 0.9) > 2.0
+        handle = service_over(lognormal_workload(median=100.0, sigma=1.5))
+        assert dispersion(handle) > 2.0
 
 
 class TestRankAndSlice:
     def test_ranks_audit_against_truth(self):
-        monitor = build_monitor(lognormal_workload(median=200.0, sigma=0.8))
-        view = monitor.snapshot()
-        truth = EmpiricalCDF(monitor.true_values())
+        handle = service_over(lognormal_workload(median=200.0, sigma=0.8))
+        truth = handle.scheduler.current_truth()
         for q in (0.1, 0.5, 0.9):
             value = float(truth.quantile(q)[0])
-            assert view.rank_of(value) == pytest.approx(q, abs=0.1)
+            assert handle.cdf(value) == pytest.approx(q, abs=0.1)
 
     def test_slices_partition_population(self):
-        monitor = build_monitor(normal_workload(mean=500.0, std=100.0))
-        view = monitor.snapshot()
-        values = monitor.true_values()
-        slices = np.asarray([view.slice_of(v, slices=4) for v in values])
+        handle = service_over(normal_workload(mean=500.0, std=100.0))
+        values = handle.scheduler.population()
+        slices = np.asarray([slice_of(handle, v, 4) for v in values])
         counts = np.bincount(slices, minlength=4)
-        # Roughly equal-population slices (within simulation noise).
+        # Roughly equal-population slices (within estimation noise).
+        assert counts.size == 4
         assert counts.min() > len(values) / 8
 
     def test_extreme_value_lands_in_top_slice(self):
-        monitor = build_monitor(lognormal_workload(median=100.0, sigma=0.5))
-        view = monitor.snapshot()
-        assert view.slice_of(1e9, slices=10) == 9
-        assert view.slice_of(0.0, slices=10) == 0
+        handle = service_over(lognormal_workload(median=100.0, sigma=0.5))
+        assert slice_of(handle, 1e9, 10) == 9
+        assert slice_of(handle, 0.0, 10) == 0
 
 
 class TestSizeAndConfidence:
     def test_size_estimate_tracks_population(self):
-        monitor = build_monitor(normal_workload(), n=120)
-        view = monitor.snapshot()
-        assert view.system_size == pytest.approx(120, rel=0.25)
+        handle = service_over(normal_workload())
+        assert handle.network_size() == pytest.approx(N_NODES, rel=0.25)
 
     def test_confidence_published(self):
-        monitor = build_monitor(normal_workload())
-        view = monitor.snapshot()
-        assert view.confidence_avg is not None
-        assert 0.0 <= view.confidence_avg <= 1.0
-        assert view.confidence_max >= view.confidence_avg
+        handle = service_over(normal_workload())
+        confidence = handle.store.latest().confidence
+        assert confidence is not None
+        est_average, est_maximum = confidence
+        assert 0.0 <= est_average <= 1.0
+        assert est_maximum >= est_average
 
 
 class TestTraceWorkload:
     def test_monitor_over_fixed_trace(self):
-        """A monitor over a concrete host census (SampledWorkload)."""
+        """A service over a concrete host census (SampledWorkload)."""
         rng = np.random.default_rng(0)
         census = np.rint(rng.lognormal(np.log(512), 0.7, size=400))
-        monitor = build_monitor(SampledWorkload(census, name="census"), n=150)
-        view = monitor.snapshot()
-        truth = EmpiricalCDF(monitor.true_values())
+        handle = service_over(SampledWorkload(census, name="census"))
+        truth = handle.scheduler.current_truth()
         probe = float(np.median(census))
-        assert view.fraction_below(probe) == pytest.approx(
+        assert handle.cdf(probe) == pytest.approx(
             float(truth.evaluate(probe)), abs=0.1
         )

@@ -14,18 +14,17 @@ from repro.core.conservation import (
     is_mass_conserving,
     non_conserving_reason,
 )
-from repro.core.node import Adam2Node
-from repro.core.protocol import Adam2Protocol
+from repro.core.node import Adam2Node, gossip_exchange
 from repro.fastsim.adam2 import Adam2Simulation
-from repro.fastsim.exchange import sequential_round
+from repro.fastsim.exchange import random_partners, sequential_round
 from repro.lint.sanitizer import (
     ENV_FLAG,
     FastsimSanitizer,
     InvariantViolation,
+    checked_delivery,
     sanitize_enabled,
 )
-from repro.rngs import make_rng
-from repro.simulation.runner import build_engine
+from repro.rngs import make_rng, spawn
 from repro.workloads.synthetic import uniform_workload
 
 CONFIG = Adam2Config(points=6, rounds_per_instance=8)
@@ -141,59 +140,51 @@ def test_fastsim_sanitizer_unit_checks():
 
 
 # ---------------------------------------------------------------------
-# Round-based simulation backend
+# Per-delivery checks over a cycle-driven loop of Adam2Node peers
 # ---------------------------------------------------------------------
 
 
-class LeakyAdam2Protocol(Adam2Protocol):
-    """Adam2 whose exchange inflates the initiator's fraction mass."""
+def _checked_rounds(exchange, rounds: int, n: int = 16) -> list[Adam2Node]:
+    """Run one instance over ``n`` peers, each ``exchange`` bracketed on
+    both sides by the daemons' per-delivery check: each peer's state
+    afterwards must be the mean of its own and the other's state before."""
+    rng = make_rng(3)
+    nodes = [
+        Adam2Node(i, value, CONFIG, spawn(rng))
+        for i, value in enumerate(uniform_workload(0, 1000).sample(n, rng))
+    ]
+    nodes[0].start_instance(neighbour_values=np.concatenate([p.values for p in nodes]))
+    for round_ in range(rounds):
+        order, partners = random_partners(n, rng)
+        for p, q in zip(order, partners):
+            initiator, responder = nodes[int(p)], nodes[int(q)]
+            push = {iid: s.snapshot() for iid, s in initiator.instances.items()}
+            pull = {iid: s.snapshot() for iid, s in responder.instances.items()}
+            with checked_delivery(initiator, pull, backend="net", round_index=round_):
+                with checked_delivery(responder, push, backend="net", round_index=round_):
+                    exchange(initiator, responder, round_)
+        for node in nodes:
+            node.end_of_round(round_)
+    return nodes
 
-    def exchange(self, initiator, responder, engine):
-        result = super().exchange(initiator, responder, engine)
-        adam2 = initiator.state[self.name]
-        for state in adam2.instances.values():
-            state.h.fractions = state.h.fractions * 1.01 + 1e-4
-        return result
+
+def _leaky_exchange(initiator, responder, round_):
+    """``gossip_exchange`` that then inflates the initiator's fraction mass."""
+    count = gossip_exchange(initiator, responder, round_)
+    for state in initiator.instances.values():
+        state.h.fractions = state.h.fractions * 1.01 + 1e-4
+    return count
 
 
 def test_simulation_engine_detects_mass_leak():
-    protocol = LeakyAdam2Protocol(CONFIG)
-    engine = build_engine(
-        uniform_workload(0, 1000), 16, [protocol], make_rng(3), sanitize=True
-    )
-    protocol.trigger_instance(engine)
     with pytest.raises(InvariantViolation) as exc:
-        engine.run(CONFIG.rounds_per_instance)
+        _checked_rounds(_leaky_exchange, CONFIG.rounds_per_instance)
     assert exc.value.invariant == "mass-conservation"
-    assert exc.value.backend == "simulation"
 
 
 def test_simulation_engine_clean_run_passes():
-    protocol = Adam2Protocol(CONFIG)
-    engine = build_engine(
-        uniform_workload(0, 1000), 16, [protocol], make_rng(3), sanitize=True
-    )
-    protocol.trigger_instance(engine)
-    engine.run(CONFIG.rounds_per_instance + 2)
-    estimates = protocol.estimates(engine)
-    assert estimates
-
-
-class TuplelessProtocol(Adam2Protocol):
-    def exchange(self, initiator, responder, engine):
-        super().exchange(initiator, responder, engine)
-        return None  # drops network accounting
-
-
-def test_simulation_engine_detects_payload_violation():
-    protocol = TuplelessProtocol(CONFIG)
-    engine = build_engine(
-        uniform_workload(0, 1000), 16, [protocol], make_rng(3), sanitize=True
-    )
-    protocol.trigger_instance(engine)
-    with pytest.raises(InvariantViolation) as exc:
-        engine.run(2)
-    assert exc.value.invariant == "exchange-payload"
+    nodes = _checked_rounds(gossip_exchange, CONFIG.rounds_per_instance + 2)
+    assert all(node.current_estimate is not None for node in nodes)
 
 
 # ---------------------------------------------------------------------

@@ -468,3 +468,12 @@ class TestProcessCluster:
         assert 0.0 <= record.estimate.fractions.min()
         total_sent = sum(s["messages_sent"] for s in summaries)
         assert total_sent > 0
+
+    def test_start_barrier_fails_at_the_deadline(self):
+        """No child reports ready within 10 ms: the run fails loudly, and
+        the teardown kills the children still waiting for their go."""
+        config = Adam2Config(points=4, rounds_per_instance=5)
+        with pytest.raises(NetworkError, match="deadline"):
+            run_process_cluster(
+                np.arange(3.0), config, rounds=5, seed=1, timeout=0.01,
+            )

@@ -70,7 +70,7 @@ class TestLifecycle:
         first_end = types.index("InstanceCompleted")
         assert all(t == "RoundSample" for t in types[first_start + 1 : first_end])
 
-    @pytest.mark.parametrize("backend", ["fast", "round", "async"])
+    @pytest.mark.parametrize("backend", ["fast", "async"])
     def test_round_probes_on_every_backend(self, backend):
         sink = MemorySink()
         _run((sink,), backend=backend)
@@ -132,7 +132,7 @@ class TestJsonlSink:
         for key in ("mass_sum", "weight_sum", "convergence_rate", "messages", "bytes"):
             assert key in rounds[0]
 
-    @pytest.mark.parametrize("backend", ["fast", "round", "async"])
+    @pytest.mark.parametrize("backend", ["fast", "async"])
     def test_same_seed_trace_is_byte_identical(self, tmp_path, backend):
         """Golden determinism: events carry no wall-clock values."""
         contents = []

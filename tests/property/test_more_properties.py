@@ -1,4 +1,4 @@
-"""Further property-based tests: drift, views, state arrays.
+"""Further property-based tests: drift and state arrays.
 
 The event-order properties live with the virtual loop that orders
 events, in tests/net/test_virtual.py."""
@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from repro.fastsim.exchange import matching_round, sequential_round
 from repro.fastsim.state import BatchState
 from repro.lint.sanitizer import mass_tolerances
-from repro.overlay.view import NodeDescriptor, PartialView
 from repro.rngs import make_rng
 from repro.workloads.dynamic import DriftModel
 
@@ -33,25 +32,6 @@ class TestDriftProperties:
     def test_static_model_is_identity(self, values):
         out = DriftModel().apply(values, make_rng(0))
         assert np.array_equal(out, values)
-
-
-class TestPartialViewProperties:
-    @given(
-        st.integers(min_value=1, max_value=10),
-        st.lists(st.tuples(st.integers(0, 30), st.integers(0, 20)), min_size=0, max_size=60),
-    )
-    def test_capacity_and_uniqueness_invariants(self, capacity, inserts):
-        view = PartialView(capacity)
-        for node_id, age in inserts:
-            view.insert(NodeDescriptor(node_id, age))
-        assert len(view) <= capacity
-        ids = view.node_ids()
-        assert len(ids) == len(set(ids))
-        # Every held descriptor is the freshest ever inserted for its id
-        # among those that could have survived truncation.
-        for d in view.descriptors():
-            best = min(age for node_id, age in inserts if node_id == d.node_id)
-            assert d.age >= best or d.age == best
 
 
 dtypes = st.sampled_from(["float64", "float32"])
