@@ -28,8 +28,8 @@ async def census(files: list[np.ndarray], config: Adam2Config, rng: np.random.Ge
     async with LocalCluster(files, config, rng) as cluster:
         await cluster.trigger_instance()
         # Jittered per-node clocks: a few extra periods let every node
-        # tick its TTL out, as the ``async`` backend's drain does.
-        await cluster.run_rounds(config.rounds_per_instance + 5)
+        # tick its TTL out, as the ``async`` backend's instance loop does.
+        await cluster.run_rounds(config.rounds_per_instance + cluster.drain_periods())
         await cluster.drain()
         return cluster.adam2_nodes()[0].current_estimate
 

@@ -125,7 +125,7 @@ async def drive_instances(
     nodes: Callable[[], Sequence[Adam2Node]],
     traffic: Callable[[], tuple[int, int]],
     population: Callable[[], np.ndarray],
-    period_jitter: float,
+    drain_periods: int,
     settle: Callable[[], Awaitable[None]],
 ) -> RunResult:
     """Run ``spec.instances`` aggregation instances on a node-daemon system.
@@ -145,18 +145,13 @@ async def drive_instances(
             never reached counts at error 1).
         traffic: cumulative ``(messages, bytes)`` sent so far.
         population: every live node's attribute values (ground truth).
-        period_jitter: per-node clock jitter fraction; sets how many
-            extra periods stragglers get to tick their TTLs out.
+        drain_periods: extra periods stragglers get to tick their TTLs
+            out after the instance's rounds (the ``drain_periods``
+            option overrides it).
         settle: wait for work still in flight once the rounds are done.
     """
     rounds = spec.config.rounds_per_instance
-    # Per-node clocks drift (jitter) and messages ride real or modelled
-    # latency, so after `rounds` nominal periods some peers still hold
-    # live state; the drain lets them tick their TTLs out.
-    drain = spec.options.get(
-        "drain_periods",
-        max(3, int(np.ceil(rounds * period_jitter)) + 2),
-    )
+    drain = spec.options.get("drain_periods", drain_periods)
     probes = hub if hub.probes_enabled else None
     tracker = RateTracker()
 

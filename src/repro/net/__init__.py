@@ -8,7 +8,8 @@ networking, bottom-up:
 * :mod:`repro.net.faults` — seeded drop/delay/reorder fault injection;
 * :mod:`repro.net.transport` — asyncio UDP endpoint with retries,
   timeouts, and duplicate suppression (at-most-once merges);
-* :mod:`repro.net.peers` — liveness-aware peer directory;
+* :mod:`repro.net.peers` — the membership table and each daemon's
+  liveness-aware view of it;
 * :mod:`repro.net.node` — the node daemon (gossip timer, instance
   lifecycle, request handling) plus a per-process CLI;
 * :mod:`repro.net.cluster` — the localhost cluster harness, in-process
@@ -33,12 +34,12 @@ from typing import Any
 __all__ = [
     "FaultInjector",
     "LocalCluster",
+    "MemberTable",
     "Message",
     "NetBackend",
     "NodeDaemon",
     "FrameCodec",
     "PeerDirectory",
-    "PeerRecord",
     "ServiceClient",
     "ServiceEndpoint",
     "ServiceWorkerPool",
@@ -51,12 +52,12 @@ __all__ = [
 _EXPORTS = {
     "FaultInjector": "repro.net.faults",
     "LocalCluster": "repro.net.cluster",
+    "MemberTable": "repro.net.peers",
     "Message": "repro.net.codec",
     "NetBackend": "repro.net.backend",
     "NodeDaemon": "repro.net.node",
     "FrameCodec": "repro.net.frames",
     "PeerDirectory": "repro.net.peers",
-    "PeerRecord": "repro.net.peers",
     "ServiceClient": "repro.net.service_endpoint",
     "ServiceEndpoint": "repro.net.service_endpoint",
     "ServiceWorkerPool": "repro.net.service_worker",

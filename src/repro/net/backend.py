@@ -98,7 +98,7 @@ class NetBackend(Backend):
                 nodes=cluster.adam2_nodes,
                 traffic=cluster.traffic,
                 population=cluster.attribute_values,
-                period_jitter=cluster.period_jitter,
+                drain_periods=cluster.drain_periods(),
                 settle=cluster.drain,
             )
             result.extras["net_counters"] = cluster.counters()

@@ -2,8 +2,10 @@
 
 :class:`LocalCluster` is the in-process mode — every daemon lives on
 one event loop, its gossip timer one ``call_later`` handle at a time
-(:func:`~repro.net.node.run_timers`); they share one wire codec but each
-owns its own UDP socket, generator, and fault injector.  This is the
+(:func:`~repro.net.node.run_timers`); they share one wire codec and one
+membership table (:class:`~repro.net.peers.MemberTable`: nothing per
+pair, so start-up is O(N)) but each owns its own UDP socket, generator,
+peer view and fault injector.  This is the
 mode the ``net`` backend and CI use: real datagrams, real timers, no
 subprocess overhead, and direct access to every node's protocol state
 for probes and summaries.
@@ -36,13 +38,14 @@ from repro.errors import NetworkError
 from repro.net.codec import WireCodec
 from repro.net.faults import FaultInjector
 from repro.net.node import NodeDaemon, run_timers
+from repro.net.peers import MemberTable
 from repro.rngs import spawn
 
 __all__ = ["LocalCluster", "completed_from_summaries", "run_process_cluster"]
 
 
 class LocalCluster:
-    """N in-process node daemons on localhost, fully meshed.
+    """N in-process node daemons on localhost, each drawing from all.
 
     Args:
         values: per-node attribute values — a 1-D array (one scalar per
@@ -89,6 +92,10 @@ class LocalCluster:
         self.config = config
         self.period_jitter = period_jitter
         self.codec = WireCodec(max_datagram)
+        #: every bound daemon's id and address, shared by their directories
+        self.members = MemberTable()
+        #: ids fail-stopped so far, in crash order (joiners never see them)
+        self._departed: list[int] = []
         self._faults: dict[str, Any] | None = None
         if drop_rate > 0.0 or reorder_rate > 0.0 or delay_range is not None:
             self._faults = {
@@ -104,6 +111,7 @@ class LocalCluster:
             "sanitize": sanitize,
             "max_inflight": max_inflight,
             "transport_options": transport_options,
+            "members": self.members,
         }
         self.daemons: list[NodeDaemon] = []
         for node_values in per_node:
@@ -128,14 +136,10 @@ class LocalCluster:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind every daemon's socket and mesh the peer directories."""
+        """Bind every daemon's socket: each bind enters the shared
+        membership table, so every daemon then draws from all others."""
         for daemon in self.daemons:
             await daemon.open(self.host, 0)
-        addresses = {daemon.node_id: daemon.address for daemon in self.daemons}
-        for daemon in self.daemons:
-            for peer_id, address in addresses.items():
-                if peer_id != daemon.node_id:
-                    daemon.add_peer(peer_id, address)
 
     def close(self) -> None:
         """Close every daemon's socket and cancel in-flight work."""
@@ -143,19 +147,22 @@ class LocalCluster:
             daemon.close()
 
     async def join(self, values: float | np.ndarray) -> NodeDaemon:
-        """Add one node: bind its daemon and mesh it with every live node,
-        both ways.  It gossips from the next :meth:`run_rounds` call."""
+        """Add one node: its bind enters the shared table, so every node
+        draws it and it draws every node still live (it never met the
+        crashed ones).  It gossips from the next :meth:`run_rounds` call."""
         daemon = self._daemon(np.atleast_1d(np.asarray(values, dtype=float)))
         await daemon.open(self.host, 0)
-        for peer in self.live_daemons():
-            peer.add_peer(daemon.node_id, daemon.address)
-            daemon.add_peer(peer.node_id, peer.address)
+        for node_id in self._departed:
+            daemon.directory.remove(node_id)
         self.daemons.append(daemon)
         return daemon
 
     def crash(self, node_id: int) -> None:
         """Fail-stop one node; peers only ever see timeouts."""
-        self.daemons[node_id].crash()
+        daemon = self.daemons[node_id]
+        if not daemon.crashed:
+            self._departed.append(node_id)
+        daemon.crash()
 
     async def __aenter__(self) -> "LocalCluster":
         await self.start()
@@ -175,6 +182,18 @@ class LocalCluster:
         """Run every live daemon's gossip timer for ``rounds`` fires
         (free-running: no barrier between the call's rounds)."""
         await run_timers(self.live_daemons(), rounds)
+
+    def drain_periods(self) -> int:
+        """Extra gossip periods to run after an instance's
+        ``rounds_per_instance``, before :meth:`drain`.
+
+        Per-node clocks drift (jitter) and messages ride real or
+        modelled latency, so after R nominal periods some daemons still
+        hold live state: ``max(3, ceil(R * period_jitter) + 2)`` more
+        let every one tick its TTL out (5 at R = 30 and 10 % jitter).
+        """
+        rounds = self.config.rounds_per_instance
+        return max(3, int(np.ceil(rounds * self.period_jitter)) + 2)
 
     async def drain(self) -> None:
         """Wait for every live daemon's in-flight pushes to settle."""

@@ -4,7 +4,9 @@ A :class:`NodeDaemon` wires the engine-independent protocol core
 (:class:`~repro.core.node.Adam2Node`) to the real-network runtime:
 
 * it owns one :class:`~repro.net.transport.UdpTransport` endpoint and a
-  :class:`~repro.net.peers.PeerDirectory` of gossip partners;
+  :class:`~repro.net.peers.PeerDirectory` of gossip partners: its view
+  of a :class:`~repro.net.peers.MemberTable`, which a cluster shares
+  among its daemons (binding appends the daemon to it);
 * a **gossip timer** fires every ``gossip_period`` seconds (jittered so
   peers desynchronise); each fire is one local round — TTLs count these
   fires, on real time or on :mod:`repro.net.virtual`'s jumping clock.
@@ -54,7 +56,7 @@ from repro.errors import NetworkError
 from repro.lint.sanitizer import InvariantViolation, checked_delivery, sanitize_enabled
 from repro.net.codec import MSG_PULL, MSG_PUSH, MSG_SAMPLE_REQUEST, Message, WireCodec
 from repro.net.faults import FaultInjector
-from repro.net.peers import PeerDirectory, PeerRecord
+from repro.net.peers import MemberTable, PeerDirectory
 from repro.net.transport import UdpTransport
 from repro.rngs import make_rng, spawn
 
@@ -87,6 +89,8 @@ class NodeDaemon:
         transport_options: extra keyword arguments for
             :class:`~repro.net.transport.UdpTransport` (timeouts, retry
             policy, dedup size).
+        members: the membership table to bind into and draw peers from
+            (default: a private one, filled by :meth:`add_peer`).
     """
 
     def __init__(
@@ -105,6 +109,7 @@ class NodeDaemon:
         max_inflight: int = 8,
         fault: FaultInjector | None = None,
         transport_options: dict[str, Any] | None = None,
+        members: MemberTable | None = None,
     ):
         if not isinstance(node_id, int) or not 0 <= node_id <= 2**32 - 1:
             raise NetworkError(f"node id {node_id!r} must be a u32 integer")
@@ -127,7 +132,7 @@ class NodeDaemon:
         self.neighbour_sample = bootstrap_sample_size(config, neighbour_sample)
         self.sanitize = sanitize_enabled(sanitize)
         self.max_inflight = max_inflight
-        self.directory = PeerDirectory()
+        self.directory = PeerDirectory(members, node_id)
         self.transport = UdpTransport(
             self.codec, spawn(rng), handler=self, fault=fault,
             **(transport_options or {}),
@@ -154,8 +159,11 @@ class NodeDaemon:
     # ------------------------------------------------------------------
 
     async def open(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Bind the UDP endpoint; returns the bound address."""
-        return await self.transport.open(host, port)
+        """Bind the UDP endpoint and enter the membership table;
+        returns the bound address."""
+        address = await self.transport.open(host, port)
+        self.directory.table.add(self.node_id, address)
+        return address
 
     @property
     def address(self) -> tuple[str, int]:
@@ -167,9 +175,8 @@ class NodeDaemon:
         return self._crashed
 
     def add_peer(self, peer_id: int, address: tuple[str, int]) -> None:
-        """Register a gossip partner."""
-        if peer_id == self.node_id:
-            raise NetworkError("a node cannot be its own peer")
+        """Register a gossip partner (in the membership table, which
+        every daemon sharing it then sees)."""
         self.directory.add(peer_id, address)
 
     async def run(self, rounds: int) -> None:
@@ -224,10 +231,10 @@ class NodeDaemon:
         if len(self._inflight) >= self.max_inflight:
             self.pushes_skipped += 1
             return
-        peer = self.directory.select(self.rng)
-        if peer is not None:
+        peer_id = self.directory.select(self.rng)
+        if peer_id is not None:
             try:
-                self._push(peer)
+                self._push(peer_id)
             except Exception as exc:  # e.g. a state the codec refuses
                 self._push_failed(exc)
 
@@ -255,7 +262,7 @@ class NodeDaemon:
         if exc is not None:
             self._push_failed(exc)
 
-    def _push(self, peer: PeerRecord) -> None:
+    def _push(self, peer_id: int) -> None:
         # No await between reading the live states and encode_states
         # returning, so the datagram is the snapshot: nothing is cloned.
         states: Mapping[Hashable, InstanceState] = self.adam2.instances
@@ -268,9 +275,9 @@ class NodeDaemon:
             return
         msg_id = self.transport.next_msg_id()
         datagram = self.codec.encode_states(MSG_PUSH, self.node_id, msg_id, payload)
-        pull = self.transport.request(datagram, peer.address, msg_id)
+        pull = self.transport.request(datagram, self.directory.table.addresses[peer_id], msg_id)
         self._inflight.add(pull)
-        pull.add_done_callback(partial(self._on_pull, peer.peer_id))
+        pull.add_done_callback(partial(self._on_pull, peer_id))
 
     def _on_pull(self, peer_id: int, pull: asyncio.Future[Message]) -> None:
         """The push's request future is done: merge the pull, or record why not."""
@@ -352,15 +359,16 @@ class NodeDaemon:
         peers = self.directory.sample(self.neighbour_sample, self.rng)
         pools: list[np.ndarray] = []
         if peers:
+            addresses = self.directory.table.addresses
             replies = await asyncio.gather(
-                *(self._sample_peer(record.address) for record in peers),
+                *(self._sample_peer(addresses[peer_id]) for peer_id in peers),
                 return_exceptions=True,
             )
-            for record, outcome in zip(peers, replies):
+            for peer_id, outcome in zip(peers, replies):
                 if isinstance(outcome, BaseException):
-                    self.directory.mark_failure(record.peer_id)
+                    self.directory.mark_failure(peer_id)
                     continue
-                self.directory.mark_alive(record.peer_id)
+                self.directory.mark_alive(peer_id)
                 pools.append(outcome)
         if pools:
             neighbour_values = np.concatenate(pools)

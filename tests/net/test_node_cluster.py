@@ -48,7 +48,7 @@ class TestPeerDirectory:
         directory.add(1, ("127.0.0.1", 1000))
         directory.add(2, ("127.0.0.1", 1001))
         directory.mark_failure(2)
-        assert all(directory.select(rng).peer_id == 1 for _ in range(20))
+        assert all(directory.select(rng) == 1 for _ in range(20))
 
     def test_select_probes_suspected(self):
         rng = make_rng(0)
@@ -56,7 +56,7 @@ class TestPeerDirectory:
         directory.add(1, ("127.0.0.1", 1000))
         directory.add(2, ("127.0.0.1", 1001))
         directory.mark_failure(2)
-        picked = {directory.select(rng).peer_id for _ in range(50)}
+        picked = {directory.select(rng) for _ in range(50)}
         assert picked == {1, 2}
 
     def test_all_suspected_still_selectable(self):
@@ -64,7 +64,7 @@ class TestPeerDirectory:
         directory = PeerDirectory(suspicion_threshold=1)
         directory.add(1, ("127.0.0.1", 1000))
         directory.mark_failure(1)
-        assert directory.select(rng).peer_id == 1
+        assert directory.select(rng) == 1
 
 
 class TestNodeDaemon:
@@ -127,7 +127,7 @@ class TestNodeDaemon:
                 await a.run(10)
                 await a.drain()
                 assert a.push_failures > 0
-                assert a.directory.get(1).suspected
+                assert a.directory.suspected_ids() == [1]
                 # The instance still terminates locally.
                 assert len(a.adam2.completed) == 1
             finally:

@@ -134,21 +134,54 @@ RUN = """
 import hashlib, json
 from repro.api import run
 from repro.core.config import Adam2Config
+from repro.net.cluster import LocalCluster
+from repro.net.virtual import run_virtual
+from repro.rngs import make_rng
 from repro.workloads import boinc_workload
 
-result = run(
-    Adam2Config(points=12, rounds_per_instance=20), boinc_workload("ram"),
-    backend="async", n_nodes=64, instances=2, seed=29,
-    drop_rate=0.05, delay_range=(0.005, 0.08), reorder_rate=0.05,
-)
+config = Adam2Config(points=12, rounds_per_instance=20)
 digest = hashlib.sha256()
-for summary in result.instances:
-    digest.update(summary.fractions.tobytes())
-    digest.update(repr((summary.errors_entire, summary.errors_points,
-                        summary.messages, summary.bytes, summary.reached)).encode())
-digest.update(json.dumps(result.extras["net_counters"], sort_keys=True).encode())
+for options in (
+    {},
+    {"drop_rate": 0.05, "delay_range": (0.005, 0.08), "reorder_rate": 0.05},
+    {"crash_nodes": 5, "drop_rate": 0.02},
+):
+    result = run(config, boinc_workload("ram"), backend="async", n_nodes=64,
+                 instances=2, seed=29, **options)
+    for summary in result.instances:
+        digest.update(summary.fractions.tobytes())
+        digest.update(repr((summary.errors_entire, summary.errors_points,
+                            summary.messages, summary.bytes, summary.reached)).encode())
+    digest.update(json.dumps(result.extras["net_counters"], sort_keys=True).encode())
+
+async def join_after_crash():
+    # The joiner never meets the crashed nodes; the survivors keep them
+    # until timeouts raise suspicion (small enough that several do).
+    values = boinc_workload("ram").sample(16, make_rng(30))
+    async with LocalCluster(values, config, make_rng(31), drop_rate=0.02) as cluster:
+        await cluster.trigger_instance()
+        await cluster.run_rounds(6)
+        cluster.crash(15)
+        cluster.crash(3)
+        joiner = await cluster.join(512.0)
+        await cluster.run_rounds(19)
+        await cluster.drain()
+        await cluster.trigger_instance(joiner.node_id)
+        await cluster.run_rounds(25)
+        await cluster.drain()
+        for node in cluster.adam2_nodes():
+            for record in node.completed:
+                digest.update(record.estimate.fractions.tobytes())
+                digest.update(repr((record.system_size, record.round)).encode())
+        digest.update(json.dumps(cluster.counters(), sort_keys=True).encode())
+
+run_virtual(join_after_crash())
 print(digest.hexdigest())
 """
+
+#: ``RUN``'s digest.  It changes only when a change to the daemon means
+#: to change seeded ``async`` results, and that change says so.
+PINNED = "301579d9821777bd238d9f0ce712e3fd9d3206717eb2e4a5a6db8f2aa36281c5"
 
 
 def test_a_seeded_async_run_is_bit_identical_across_hash_seeds():
@@ -167,3 +200,11 @@ def test_a_seeded_async_run_is_bit_identical_across_hash_seeds():
     scope: dict[str, object] = {}
     exec(RUN.replace("print(digest.hexdigest())", "out = digest.hexdigest()"), scope)
     assert digests == {scope["out"]}
+
+
+def test_seeded_async_runs_match_the_pinned_digest():
+    """No fault, drop + delay + reorder, crashes, and a join after a
+    crash: every seeded run reproduces the recorded results exactly."""
+    scope: dict[str, object] = {}
+    exec(RUN.replace("print(digest.hexdigest())", "out = digest.hexdigest()"), scope)
+    assert scope["out"] == PINNED
